@@ -94,7 +94,7 @@ let a4_sigma_sweep () =
         Nufft.Sample.of_omega_2d ~g:plan.Nufft.Plan.g ~omega_x:ox ~omega_y:oy
           ~values
       in
-      let fast = Nufft.Plan.adjoint_2d plan samples in
+      let fast = Nufft.Plan.adjoint plan samples in
       Printf.printf "    %-8.2f %-4d %-6d %14.2e %14d %14.0f\n" sigma w
         plan.Nufft.Plan.g
         (Cvec.nrmsd ~reference:exact fast)
@@ -127,7 +127,7 @@ let a5_window_families () =
         Nufft.Sample.of_omega_2d ~g:plan.Nufft.Plan.g ~omega_x:ox ~omega_y:oy
           ~values
       in
-      let fast = Nufft.Plan.adjoint_2d plan samples in
+      let fast = Nufft.Plan.adjoint plan samples in
       Printf.printf "    %-16s %12.2e\n" name
         (Cvec.nrmsd ~reference:exact fast))
     [ ("kaiser-bessel", Numerics.Window.default_kaiser_bessel ~width:w ~sigma:2.0);

@@ -6,10 +6,9 @@
      main.exe                 run everything (full datasets)
      main.exe --quick [...]   use reduced datasets (~1/16 of the samples)
      main.exe --json [...]    also emit BENCH_operators.json (operators) /
-                              BENCH_hotpath.json (hotpath) /
-                              BENCH_tuner.json (tuner)
+                              BENCH_hotpath.json (hotpath)
      main.exe fig6|fig7|fig8|fig9|fig3|table1|table2|fraction|gpustats|
-              slice3d|ablation|operators|hotpath|tuner
+              slice3d|ablation|operators|hotpath
      main.exe bechamel        only the Bechamel micro-benchmarks *)
 
 let experiments =
@@ -25,8 +24,7 @@ let experiments =
     ("slice3d", Slice3d.run);
     ("ablation", Ablation.run);
     ("operators", Operators_bench.run);
-    ("hotpath", Hotpath_bench.run);
-    ("tuner", Tuner_bench.run) ]
+    ("hotpath", Hotpath_bench.run) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment's measured
@@ -118,7 +116,6 @@ let () =
     if List.mem "--json" args then begin
       Operators_bench.json := true;
       Hotpath_bench.json := true;
-      Tuner_bench.json := true;
       List.filter (fun a -> a <> "--json") args
     end
     else args

@@ -34,9 +34,9 @@ let measure_backend ds name =
   let rel_l2_err = Imaging.Accuracy.backend_rel_l2_err name in
   { backend = name;
     adjoint_s = st.Op.adjoint_s;
-    gridding_s = st.Op.gridding_s;
-    fft_s = st.Op.fft_s;
-    deapod_s = st.Op.deapod_s;
+    gridding_s = st.Op.stages.Nufft.Plan.gridding_s;
+    fft_s = st.Op.stages.Nufft.Plan.fft_s;
+    deapod_s = st.Op.stages.Nufft.Plan.deapod_s;
     cycles = st.Op.cycles;
     rel_l2_err }
 

@@ -92,40 +92,17 @@ let transform_of_flag s =
       Error
         (Printf.sprintf "unknown transform %S (expected type1 or type3)" s)
 
-(* --tune: hand the backend choice to the auto-tuner, unless
-   JIGSAW_TUNE=off — then the explicit backend stands, so an off-mode run
-   is bit-identical to one without --tune. *)
-let apply_tune tune backend =
-  if tune && Nufft.Tuner.mode () <> Nufft.Tuner.Off then "auto" else backend
-
-let print_tuner_line tune =
-  if tune then
-    match Nufft.Tuner.mode () with
-    | Nufft.Tuner.Off -> print_endline "tuner: JIGSAW_TUNE=off (not tuning)"
-    | _ ->
-        List.iter
-          (fun ((k : Nufft.Tuner.key), (c : Nufft.Tuner.choice)) ->
-            Printf.printf
-              "tuner: %dD n=%d -> %s (%.2e samples/s; %s)\n" k.Nufft.Tuner.dims
-              k.Nufft.Tuner.n c.Nufft.Tuner.backend c.Nufft.Tuner.sps
-              (String.concat ", "
-                 (List.map
-                    (fun (t : Nufft.Tuner.trial) ->
-                      Printf.sprintf "%s %.2e" t.Nufft.Tuner.engine
-                        t.Nufft.Tuner.samples_per_sec)
-                    c.Nufft.Tuner.trials)))
-          (Nufft.Tuner.cached ())
-
-(* Historical CLI spellings, mapped onto registry names. *)
+(* Historical CLI spellings, mapped onto registry names; ["auto"]
+   resolves exactly as the service resolves it. *)
 let canonical_backend name =
   match String.lowercase_ascii name with
   | "output" -> "output-parallel"
   | "parallel" -> "slice-parallel"
-  | "replay" -> "replay-parallel"
+  | "replay" -> "serial"
   | "jigsaw" -> "jigsaw-2d"
   | "gpu-slice" -> "gpusim-slice"
   | "gpu-binned" -> "gpusim-binned"
-  | other -> other
+  | other -> Op.resolve_backend other
 
 (* Both subcommands drive 2D problems, so only 2D-capable backends are
    usable (and listed) here; 3D-only entries like jigsaw-3d stay reachable
@@ -204,9 +181,9 @@ let print_backend_stats op =
     Printf.printf "%s: %.3f ms (gridding %.3f + fft %.3f + deapod %.3f)\n"
       (Op.name_of op)
       (1e3 *. st.Op.adjoint_s)
-      (1e3 *. st.Op.gridding_s)
-      (1e3 *. st.Op.fft_s)
-      (1e3 *. st.Op.deapod_s);
+      (1e3 *. st.Op.stages.Nufft.Plan.gridding_s)
+      (1e3 *. st.Op.stages.Nufft.Plan.fft_s)
+      (1e3 *. st.Op.stages.Nufft.Plan.deapod_s);
   if st.Op.cycles > 0 then Printf.printf "simulated cycles: %d\n" st.Op.cycles;
   if Nufft.Gridding_stats.total_work st.Op.grid > 0 then
     Format.printf "stats: %a@." Nufft.Gridding_stats.pp st.Op.grid
@@ -214,7 +191,7 @@ let print_backend_stats op =
 (* ------------------------------------------------------------------ *)
 (* grid subcommand *)
 
-let run_grid n traj_kind m backend w l tol kernel transform tune seed validate
+let run_grid n traj_kind m backend w l tol kernel transform seed validate
     domains trace metrics list =
   if list then list_backends ()
   else
@@ -228,7 +205,7 @@ let run_grid n traj_kind m backend w l tol kernel transform tune seed validate
     let* traj = make_trajectory traj_kind m n in
     let s = samples_of_traj ~g ~seed traj in
     let m = Nufft.Sample.length s in
-    let backend = apply_tune tune (canonical_backend backend) in
+    let backend = canonical_backend backend in
     let svc = Svc.create ?pool ~w ~l () in
     let req =
       { Svc.backend;
@@ -260,14 +237,6 @@ let run_grid n traj_kind m backend w l tol kernel transform tune seed validate
       backend
       (1e3 *. cold.Svc.elapsed_s)
       (1e3 *. warm.Svc.elapsed_s);
-    print_tuner_line tune;
-    (* The stats/validate lookups need a concrete registry name; resolve
-       "auto" the same way the service just did (a tuner cache hit). *)
-    let backend =
-      if backend = "auto" then
-        Nufft.Tuner.resolve ?tol ?family ~default:"serial" ~n ~coords:s ()
-      else backend
-    in
     let* op, _ =
       svc_error (Svc.operator ?tol ?family ~transform svc ~backend ~n ~coords:s)
     in
@@ -288,8 +257,8 @@ let run_grid n traj_kind m backend w l tol kernel transform tune seed validate
 (* ------------------------------------------------------------------ *)
 (* recon subcommand *)
 
-let run_recon n spokes output backend tol kernel transform tune domains cg
-    trace metrics list =
+let run_recon n spokes output backend tol kernel transform domains cg trace
+    metrics list =
   if list then list_backends ()
   else
     to_ret @@ with_telemetry ~trace ~metrics
@@ -317,17 +286,6 @@ let run_recon n spokes output backend tol kernel transform tune domains cg
     let density = Trajectory.Radial.density_weights traj in
     let coords = Imaging.Recon.coords_of_traj ~g:(2 * n) traj in
     let backend = canonical_backend backend in
-    (* --tune (or an explicit --backend auto) resolves here, before the
-       operator is built, so acquisition and reconstruction share the
-       tuned backend's cache entry. *)
-    let backend =
-      if tune || backend = "auto" then
-        let default = if backend = "auto" then "serial" else backend in
-        match Nufft.Tuner.mode () with
-        | Nufft.Tuner.Off -> default
-        | _ -> Nufft.Tuner.resolve ?tol ?family ~default ~n ~coords ()
-      else backend
-    in
     let svc = Svc.create ?pool () in
     (* The acquisition needs the forward operator; taking it from the
        service's cache means the reconstruction request below is a warm
@@ -350,7 +308,6 @@ let run_recon n spokes output backend tol kernel transform tune domains cg
         family }
     in
     let* resp = svc_error (Svc.submit svc req) in
-    print_tuner_line tune;
     let method_desc =
       match (transform, method_) with
       | Nufft.Transform.Type3, _ -> "type-3 adjoint"
@@ -380,8 +337,8 @@ let run_recon n spokes output backend tol kernel transform tune domains cg
    coordinate arrays are equal but physically distinct — the cache's
    canonical-rebinding path), the rest use distinct spoke counts. With
    --domains > 1 the requests overlap across the pool. *)
-let run_batch n requests share backend tol kernel tune cg seed domains trace
-    metrics list =
+let run_batch n requests share backend tol kernel cg seed domains trace metrics
+    list =
   if list then list_backends ()
   else
     to_ret @@ with_telemetry ~trace ~metrics
@@ -396,7 +353,7 @@ let run_batch n requests share backend tol kernel tune cg seed domains trace
     let* family = family_of_flag kernel in
     let svc = Svc.create ?pool () in
     let g = 2 * n in
-    let backend = apply_tune tune (canonical_backend backend) in
+    let backend = canonical_backend backend in
     let base_spokes = Trajectory.Radial.fully_sampled_spokes ~n in
     let shared = int_of_float ((share *. float_of_int requests) +. 0.5) in
     let method_ = match cg with None -> Svc.Adjoint | Some i -> Svc.Cg i in
@@ -453,7 +410,6 @@ let run_batch n requests share backend tol kernel tune cg seed domains trace
       (float_of_int requests /. dt)
       domains_used
       (if domains_used = 1 then "" else "s");
-    print_tuner_line tune;
     print_cache_line svc;
     let ws = Pipeline.Workspace.stats (Svc.workspace svc) in
     Printf.printf "arenas: %d checkouts (%d reused, %d grows, %d retained)\n"
@@ -530,7 +486,7 @@ let run_accuracy n m w sigma l tols kernel contract type3 seed =
     let w = plan.Nufft.Plan.w and l = plan.Nufft.Plan.l in
     let g = plan.Nufft.Plan.g in
     let samples = Nufft.Sample.of_omega_2d ~g ~omega_x:ox ~omega_y:oy ~values in
-    let fast = Nufft.Plan.adjoint_2d plan samples in
+    let fast = Nufft.Plan.adjoint plan samples in
     Printf.printf
       "adjoint NuFFT vs exact NuDFT (n=%d, m=%d, w=%d, sigma=%g, L=%d, g=%d):\n"
       n m w sigma l g;
@@ -594,7 +550,8 @@ let backend_arg =
         ~doc:
           "Registered operator backend (see $(b,--list-backends)): serial, \
            output-parallel, binned, slice, slice-parallel, jigsaw-2d, \
-           gpusim-slice, gpusim-binned, ...")
+           gpusim-slice, gpusim-binned, ...; or $(b,auto): replay-simd when \
+           SIMD dispatch is live, serial otherwise.")
 
 let list_backends_arg =
   Arg.(
@@ -641,17 +598,6 @@ let transform_arg =
            frequencies and reconstruct on the centred lattice via the \
            scale/shift decomposition). Type-2 forward evaluation is \
            API-only.")
-
-let tune_arg =
-  Arg.(
-    value & flag
-    & info [ "tune" ]
-        ~doc:
-          "Let the auto-tuner pick the backend from measured trials over \
-           this trajectory (overriding $(b,--backend)). Controlled by \
-           $(b,JIGSAW_TUNE): $(b,off) disables tuning (the explicit \
-           backend stands, bit-identically), $(b,auto) or unset measures, \
-           any other value forces that backend.")
 
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Value RNG seed.")
@@ -705,7 +651,7 @@ let grid_cmd =
     Term.(
       ret
         (const run_grid $ n_arg $ traj_arg $ m_arg $ backend_arg $ w_arg
-       $ l_arg $ tol_arg $ kernel_arg $ transform_arg $ tune_arg $ seed_arg
+       $ l_arg $ tol_arg $ kernel_arg $ transform_arg $ seed_arg
        $ validate_arg $ domains_arg $ trace_arg $ metrics_arg
        $ list_backends_arg))
 
@@ -726,7 +672,7 @@ let recon_cmd =
     Term.(
       ret
         (const run_recon $ n_arg $ spokes $ output $ backend_arg $ tol_arg
-       $ kernel_arg $ transform_arg $ tune_arg $ domains_arg $ cg_arg
+       $ kernel_arg $ transform_arg $ domains_arg $ cg_arg
        $ trace_arg $ metrics_arg $ list_backends_arg))
 
 let batch_cmd =
@@ -751,7 +697,7 @@ let batch_cmd =
     Term.(
       ret
         (const run_batch $ n_arg $ requests $ share $ backend_arg $ tol_arg
-       $ kernel_arg $ tune_arg $ cg_arg $ seed_arg $ domains_arg $ trace_arg
+       $ kernel_arg $ cg_arg $ seed_arg $ domains_arg $ trace_arg
        $ metrics_arg $ list_backends_arg))
 
 let info_cmd =

@@ -45,7 +45,11 @@ let () =
           ~n ~coords ()
       in
       let setup = Unix.gettimeofday () -. t0 in
-      let b = Imaging.Cg.normal_equations_rhs ~plan samples in
+      let b =
+        Imaging.Cg.normal_equations_rhs_op
+          (Nufft.Operator.of_plan plan ~coords:samples)
+          samples
+      in
       let lambda = 1e-3 *. sqrt (Cvec.norm2 b) in
       let apply x =
         let tx = Imaging.Toeplitz.apply top x in

@@ -39,7 +39,8 @@ let () =
   Printf.printf "Trajectory: %d radial samples\n" m;
 
   (* Adjoint NuFFT: k-space -> image. *)
-  let image, timings = Nufft.Plan.adjoint_2d_timed plan samples in
+  let timings = Nufft.Plan.create_timings () in
+  let image = Nufft.Plan.adjoint ~timings plan samples in
   Printf.printf "Adjoint NuFFT: gridding %.3f ms, FFT %.3f ms, deapod %.3f \
                  ms (gridding share %.1f%%)\n"
     (1e3 *. timings.Nufft.Plan.gridding_s)
@@ -60,7 +61,7 @@ let () =
   let plan_sd =
     Nufft.Plan.make ~n ~engine:(Nufft.Gridding.Slice_and_dice 8) ()
   in
-  let image_sd = Nufft.Plan.adjoint_2d plan_sd samples in
+  let image_sd = Nufft.Plan.adjoint plan_sd samples in
   Printf.printf "Slice-and-Dice engine max deviation from serial: %g\n"
     (Cvec.max_abs_diff image image_sd);
   print_endline "Done."

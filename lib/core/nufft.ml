@@ -1,5 +1,5 @@
 (* Library entry point: re-export every public module and lift the plan API
-   to the top level, so users write [Nufft.make], [Nufft.adjoint_2d],
+   to the top level, so users write [Nufft.make], [Nufft.adjoint],
    [Nufft.Gridding.Slice_and_dice], ... *)
 
 module Coord = Coord
@@ -15,7 +15,6 @@ module Minmax = Minmax
 module Apodization = Apodization
 module Nudft = Nudft
 module Transform = Transform
-module Tuner = Tuner
 module Sample_plan = Sample_plan
 module Plan = Plan
 module Operator = Operator

@@ -1,6 +1,6 @@
 (** Library entry point: re-exports every public core module and lifts the
     plan API to the top level, so users write [Nufft.make],
-    [Nufft.adjoint_2d], [Nufft.Gridding.Slice_and_dice], ...
+    [Nufft.adjoint], [Nufft.Gridding.Slice_and_dice], ...
 
     This interface pins the re-export set: a module is part of the public
     surface exactly when it is listed here, so internal helpers can be
@@ -19,7 +19,6 @@ module Minmax = Minmax
 module Apodization = Apodization
 module Nudft = Nudft
 module Transform = Transform
-module Tuner = Tuner
 module Sample_plan = Sample_plan
 module Plan = Plan
 module Operator = Operator

@@ -4,9 +4,7 @@ type stats = {
   mutable adjoints : int;
   mutable forwards : int;
   mutable type3s : int;
-  mutable gridding_s : float;
-  mutable fft_s : float;
-  mutable deapod_s : float;
+  stages : Plan.timings;
   mutable adjoint_s : float;
   mutable forward_s : float;
   mutable type3_s : float;
@@ -18,19 +16,12 @@ let create_stats () =
   { adjoints = 0;
     forwards = 0;
     type3s = 0;
-    gridding_s = 0.0;
-    fft_s = 0.0;
-    deapod_s = 0.0;
+    stages = Plan.create_timings ();
     adjoint_s = 0.0;
     forward_s = 0.0;
     type3_s = 0.0;
     cycles = 0;
     grid = Gridding_stats.create () }
-
-let add_timings st (t : Plan.timings) =
-  st.gridding_s <- st.gridding_s +. t.Plan.gridding_s;
-  st.fft_s <- st.fft_s +. t.Plan.fft_s;
-  st.deapod_s <- st.deapod_s +. t.Plan.deapod_s
 
 (* Telemetry unification: every backend (CPU, jigsaw, gpusim) funnels its
    applications through the helpers below, which update the per-operator
@@ -52,9 +43,8 @@ let op_span kind name =
 let adjoint_span name = op_span "op.adjoint" name
 let forward_span name = op_span "op.forward" name
 
-let record_adjoint ?timings ?(cycles = 0) st ~elapsed_s =
+let record_adjoint ?(cycles = 0) st ~elapsed_s =
   st.adjoints <- st.adjoints + 1;
-  (match timings with Some tm -> add_timings st tm | None -> ());
   st.adjoint_s <- st.adjoint_s +. elapsed_s;
   st.cycles <- st.cycles + cycles;
   Telemetry.Counter.incr c_adjoints;
@@ -75,7 +65,8 @@ let record_type3 st ~elapsed_s =
 let pp_stats ppf st =
   Format.fprintf ppf
     "@[<v>adjoints %d (gridding %.4fs, fft %.4fs, deapod %.4fs)@,\
-     forwards %d (%.4fs)" st.adjoints st.gridding_s st.fft_s st.deapod_s
+     forwards %d (%.4fs)" st.adjoints st.stages.Plan.gridding_s
+    st.stages.Plan.fft_s st.stages.Plan.deapod_s
     st.forwards st.forward_s;
   if st.type3s > 0 then
     Format.fprintf ppf "@,type3s %d (%.4fs)" st.type3s st.type3_s;
@@ -212,6 +203,15 @@ let create name ctx =
              (Transform.list_to_string e.transforms));
       e.factory ctx
 
+(* The rule an empirical spread-trial tuner picked on every problem it
+   measured (n 64-256, M 4k-200k, 1-2 domains, every SIMD dispatch
+   state): SIMD replay whenever a vector kernel is dispatched, scalar
+   replay otherwise. *)
+let resolve_backend name =
+  if name <> "auto" then name
+  else if Simd.enabled () then "replay-simd"
+  else "serial"
+
 (* Generic helpers over a packed operator. *)
 
 let name_of (module O : NUFFT_OP) = O.name
@@ -240,7 +240,9 @@ let type3_of (module O : NUFFT_OP) = O.type3
 
 let normal (module O : NUFFT_OP) x = O.adjoint (O.forward x)
 
-let now () = Unix.gettimeofday ()
+(* Same monotonic clock as the plan's stage timings, so the stages of
+   one application always sum to at most its elapsed time. *)
+let now () = float_of_int (Telemetry.Clock.now_ns ()) *. 1e-9
 
 let two_pi = 2.0 *. Float.pi
 
@@ -254,7 +256,7 @@ let lattice_targets ~dims ~n =
       let stride = pow n d in
       Array.init total (fun idx -> float_of_int ((idx / stride mod n) - h)))
 
-let of_plan ?name ?(compile = true) ?(transform = Transform.Type1) ?targets
+let of_plan ?name ?(transform = Transform.Type1) ?targets
     (plan : Plan.plan) ~coords : op =
   if coords.Sample.g <> plan.Plan.g then
     invalid_arg
@@ -308,29 +310,25 @@ let of_plan ?name ?(compile = true) ?(transform = Transform.Type1) ?targets
       | Some _ -> Transform.all
       | None -> [ Transform.Type1; Transform.Type2 ]
 
-    (* With [compile] (the default), forward/adjoint replay the plan's
-       compiled sample plan: the engine's decomposition is paid on the
-       first application and every subsequent CG iteration streams the
-       precomputed indices and weights. *)
+    (* Forward/adjoint replay the plan's compiled sample plan: the
+       engine's decomposition is paid on the first application and every
+       subsequent CG iteration streams the precomputed indices and
+       weights. *)
 
     let adjoint s =
       let sp = adjoint_span name in
       let t0 = now () in
-      let image, tm =
-        if compile then Plan.adjoint_compiled_timed ~stats:st.grid p s
-        else Plan.adjoint_timed ~stats:st.grid p s
+      let image =
+        Plan.adjoint_compiled ~stats:st.grid ~timings:st.stages p s
       in
-      record_adjoint ~timings:tm st ~elapsed_s:(now () -. t0);
+      record_adjoint st ~elapsed_s:(now () -. t0);
       Telemetry.span_end sp;
       image
 
     let forward image =
       let sp = forward_span name in
       let t0 = now () in
-      let values =
-        if compile then Plan.forward_compiled ~stats:st.grid p ~coords image
-        else Plan.forward ~stats:st.grid p ~coords image
-      in
+      let values = Plan.forward_compiled ~stats:st.grid p ~coords image in
       record_forward st ~elapsed_s:(now () -. t0);
       Telemetry.span_end sp;
       Sample.with_values coords values
@@ -375,7 +373,8 @@ let () =
     (fun (name, doc, engine_of) ->
       register ~transforms:Transform.all ~doc name (cpu_backend name engine_of))
     [ ( "serial",
-        "input-driven double-precision CPU reference (MIRT-class)",
+        "input-driven double-precision CPU reference (MIRT-class); \
+         replay region-sharded across domains when given a pool",
         fun ~g:_ ~w:_ -> Gridding.Serial );
       ( "output-parallel",
         "naive output-driven model, M*G^d boundary checks",
@@ -388,11 +387,7 @@ let () =
         fun ~g ~w -> Gridding.Slice_and_dice (Coord.fallback_tile ~g ~w) );
       ( "slice-parallel",
         "Slice-and-Dice column-outer schedule on the domain pool",
-        fun ~g ~w -> Gridding.Slice_parallel (Coord.fallback_tile ~g ~w) );
-      ( "replay-parallel",
-        "compiled-plan replay sharded across domains by grid-region \
-         ownership (bit-identical to serial; serial without a pool)",
-        fun ~g:_ ~w:_ -> Gridding.Serial ) ];
+        fun ~g ~w -> Gridding.Slice_parallel (Coord.fallback_tile ~g ~w) ) ];
   (* Same replay pipeline with the plan's SIMD flag set: spread/gather run
      through the runtime-dispatched C kernels (scalar when the host has no
      vector unit or JIGSAW_SIMD=off|scalar). Registered separately so the

@@ -27,9 +27,9 @@ type stats = {
   mutable adjoints : int;
   mutable forwards : int;
   mutable type3s : int;  (** type-3 applications *)
-  mutable gridding_s : float;
-  mutable fft_s : float;
-  mutable deapod_s : float;
+  stages : Plan.timings;
+      (** gridding / FFT / de-apodization, summed over adjoints; the
+          accumulator every backend hands to {!Plan.grid_to_image} *)
   mutable adjoint_s : float;  (** total adjoint wall-clock *)
   mutable forward_s : float;  (** total forward wall-clock *)
   mutable type3_s : float;  (** total type-3 wall-clock *)
@@ -38,7 +38,6 @@ type stats = {
 }
 
 val create_stats : unit -> stats
-val add_timings : stats -> Plan.timings -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
 (** {2 Telemetry unification}
@@ -55,11 +54,11 @@ val adjoint_span : string -> Telemetry.span
 
 val forward_span : string -> Telemetry.span
 
-val record_adjoint :
-  ?timings:Plan.timings -> ?cycles:int -> stats -> elapsed_s:float -> unit
-(** Count one adjoint application: bumps [adjoints], accumulates stage
-    [timings] and simulated [cycles] when given, adds [elapsed_s] to
-    [adjoint_s], and mirrors to telemetry counters. *)
+val record_adjoint : ?cycles:int -> stats -> elapsed_s:float -> unit
+(** Count one adjoint application: bumps [adjoints], accumulates
+    simulated [cycles] when given, adds [elapsed_s] to [adjoint_s], and
+    mirrors to telemetry counters. Stage times are not passed here: the
+    backend's transform adds them to [stages] itself. *)
 
 val record_forward : ?cycles:int -> stats -> elapsed_s:float -> unit
 
@@ -215,6 +214,11 @@ val create : string -> ctx -> op
     outside the backend's declared {!entry.transforms} (the message names
     the supported set). *)
 
+val resolve_backend : string -> string
+(** [resolve_backend "auto"] is ["replay-simd"] when {!Simd.enabled} and
+    ["serial"] otherwise; any other name is returned unchanged. Both pick
+    compiled replay; they differ only in the spread/gather kernels. *)
+
 (** {2 Helpers} *)
 
 val name_of : op -> string
@@ -252,7 +256,6 @@ val lattice_targets : dims:int -> n:int -> float array array
 
 val of_plan :
   ?name:string ->
-  ?compile:bool ->
   ?transform:Transform.t ->
   ?targets:float array array ->
   Plan.plan ->
@@ -263,14 +266,14 @@ val of_plan :
     implemented, and the escape hatch for custom plans (window, table
     precision, ...).
 
-    With [compile] (default [true]) forward/adjoint go through the plan's
-    compiled sample plan ({!Plan.compiled}): the engine's slice-and-dice
-    decomposition is performed once, on the first application, and every
-    later application — each iteration of a CG solve — replays the
-    precomputed window indices and weights, bit-identically to the serial
-    engine. Pass [~compile:false] to run the plan's gridding engine on
-    every application (e.g. to benchmark or differential-test the engines
-    themselves).
+    Forward/adjoint go through the plan's compiled sample plan
+    ({!Plan.adjoint_compiled} / {!Plan.forward_compiled}): the engine's
+    slice-and-dice decomposition is performed once, on the first
+    application, and every later application — each iteration of a CG
+    solve — replays the precomputed window indices and weights,
+    bit-identically to the serial engine. The plan's gridding engine
+    itself runs through {!Plan.adjoint} (e.g. to benchmark or
+    differential-test the engines).
 
     With [~transform:Type3] the operator additionally prepares a type-3
     leg ({!Plan.make_type3}) whose sources are the bound coordinates read

@@ -92,8 +92,8 @@ let make ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?(engine = Gridding.Serial)
    {!Apodization.scale_row_into} call — the same arithmetic in the same
    order as the historical per-pixel loops (2D passes [fz = 1.0], an
    exact multiply), now SIMD-dispatchable and still allocation-free. The
-   [_into] variants additionally let the pipeline layer reuse pooled
-   output buffers. *)
+   [_into] variants write caller-provided buffers, so the pipeline layer
+   can reuse pooled output buffers. *)
 
 let crop_deapodize_2d_into plan big image =
   let n = plan.n and g = plan.g in
@@ -112,12 +112,6 @@ let crop_deapodize_2d_into plan big image =
       ~dst_off:((iy * n) + h)
       ~src:big ~src_off:row ~f:deapod ~f_off:h ~len:(n - h) ~fy:dy ~fz:1.0
   done
-
-let crop_deapodize_2d plan big =
-  let n = plan.n in
-  let image = Cvec.create (n * n) in
-  crop_deapodize_2d_into plan big image;
-  image
 
 let pad_apodize_2d plan image =
   let n = plan.n and g = plan.g in
@@ -159,12 +153,6 @@ let crop_deapodize_3d_into plan big volume =
     done
   done
 
-let crop_deapodize_3d plan big =
-  let n = plan.n in
-  let volume = Cvec.create (n * n * n) in
-  crop_deapodize_3d_into plan big volume;
-  volume
-
 let pad_apodize_3d plan volume =
   let n = plan.n and g = plan.g in
   if Cvec.length volume <> n * n * n then
@@ -193,113 +181,123 @@ let check_samples plan (s : Sample.t) =
       (Printf.sprintf "Plan: sample set is for grid %d, plan uses %d"
          s.Sample.g plan.g)
 
-type timings = { gridding_s : float; fft_s : float; deapod_s : float }
+let rec pow b e = if e = 0 then 1 else b * pow b (e - 1)
 
-let now () = Unix.gettimeofday ()
-
-let adjoint_2d_timed ?stats plan samples =
-  check_samples plan samples;
-  let t0 = now () in
-  let grid =
-    Gridding.grid_2d ?stats ?pool:plan.pool plan.engine ~table:plan.table
-      ~g:plan.g ~gx:(Sample.gx samples) ~gy:(Sample.gy samples)
-      samples.Sample.values
-  in
-  let t1 = now () in
-  Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Inverse ~nx:plan.g ~ny:plan.g
-    grid;
-  let t2 = now () in
-  let image = crop_deapodize_2d plan grid in
-  let t3 = now () in
-  (image, { gridding_s = t1 -. t0; fft_s = t2 -. t1; deapod_s = t3 -. t2 })
-
-let adjoint_2d ?stats plan samples = fst (adjoint_2d_timed ?stats plan samples)
-
-let forward_2d ?stats plan ~gx ~gy image =
-  let big = pad_apodize_2d plan image in
-  Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Forward ~nx:plan.g ~ny:plan.g
-    big;
-  Gridding.interp_2d ?stats ~table:plan.table ~g:plan.g ~gx ~gy big
-
-let adjoint_1d ?stats plan ~coords values =
-  let grid =
-    Gridding.grid_1d ?stats ?pool:plan.pool plan.engine ~table:plan.table
-      ~g:plan.g ~coords values
-  in
-  Fft.Fft1d.transform Fft.Dft.Inverse grid;
-  let n = plan.n and g = plan.g in
-  Cvec.init n (fun i ->
-      let c = i - (n / 2) in
-      C.scale (1.0 /. plan.deapod.(i)) (Cvec.get grid (Coord.wrap ~g c)))
-
-let adjoint_3d_timed ?stats plan samples =
-  check_samples plan samples;
-  let gx = Sample.gx samples
-  and gy = Sample.gy samples
-  and gz = Sample.gz samples
-  and values = samples.Sample.values in
-  let t0 = now () in
-  let grid =
-    match plan.pool with
-    | Some pool ->
-        Gridding3d.grid_3d_parallel ?stats ~pool ~table:plan.table ~g:plan.g
-          ~gx ~gy ~gz values
-    | None ->
-        Gridding3d.grid_3d ?stats ~table:plan.table ~g:plan.g ~gx ~gy ~gz
-          values
-  in
-  let t1 = now () in
-  Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Inverse ~nx:plan.g ~ny:plan.g
-    ~nz:plan.g grid;
-  let t2 = now () in
-  let volume = crop_deapodize_3d plan grid in
-  let t3 = now () in
-  (volume, { gridding_s = t1 -. t0; fft_s = t2 -. t1; deapod_s = t3 -. t2 })
-
-let adjoint_3d ?stats plan ~gx ~gy ~gz values =
-  fst
-    (adjoint_3d_timed ?stats plan
-       (Sample.make_3d ~g:plan.g ~gx ~gy ~gz ~values))
-
-let forward_3d ?stats plan ~gx ~gy ~gz volume =
-  let g = plan.g in
-  let big = pad_apodize_3d plan volume in
-  Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Forward ~nx:g ~ny:g ~nz:g big;
-  Gridding3d.interp_3d ?stats ~table:plan.table ~g ~gx ~gy ~gz big
-
-let adjoint_timed ?stats plan samples =
-  match Sample.dims samples with
-  | 2 -> adjoint_2d_timed ?stats plan samples
-  | 3 -> adjoint_3d_timed ?stats plan samples
+(* Allocated only for the dimensionalities the pipeline handles, so a
+   1D sample set fails here with a clear message. *)
+let image_for plan (s : Sample.t) =
+  match Sample.dims s with
+  | (2 | 3) as d -> Cvec.create (pow plan.n d)
   | d ->
       invalid_arg
         (Printf.sprintf "Plan.adjoint: unsupported dimensionality %d" d)
 
-let adjoint ?stats plan samples = fst (adjoint_timed ?stats plan samples)
+type timings = {
+  mutable gridding_s : float;
+  mutable fft_s : float;
+  mutable deapod_s : float;
+}
 
-let forward ?stats plan ~coords image =
-  check_samples plan coords;
-  match Sample.dims coords with
-  | 2 ->
-      forward_2d ?stats plan ~gx:(Sample.gx coords) ~gy:(Sample.gy coords)
-        image
-  | 3 ->
-      forward_3d ?stats plan ~gx:(Sample.gx coords) ~gy:(Sample.gy coords)
-        ~gz:(Sample.gz coords) image
-  | d ->
-      invalid_arg
-        (Printf.sprintf "Plan.forward: unsupported dimensionality %d" d)
+let create_timings () = { gridding_s = 0.0; fft_s = 0.0; deapod_s = 0.0 }
 
 let gridding_fraction t =
   let total = t.gridding_s +. t.fft_s +. t.deapod_s in
   if total <= 0.0 then 0.0 else t.gridding_s /. total
 
+(* The stage clock is read only when the caller owns a [timings]
+   accumulator; monotonic, so stage sums never exceed an enclosing
+   interval taken on the same clock. *)
+let clock = function None -> 0 | Some _ -> Telemetry.Clock.now_ns ()
+let seconds ns = float_of_int ns *. 1e-9
+
+(* [n^2] or [n^3]: the image length alone fixes the dimensionality. *)
+let image_dims plan image =
+  let n = plan.n and len = Cvec.length image in
+  if len = n * n then 2
+  else if len = n * n * n then 3
+  else
+    invalid_arg
+      (Printf.sprintf "Plan: image length %d is neither n^2 nor n^3 (n = %d)"
+         len n)
+
+let grid_to_image ?timings ?pool ?scratch plan ~spread image =
+  let g = plan.g in
+  let pool = match pool with Some _ -> pool | None -> plan.pool in
+  let dims = image_dims plan image in
+  let t0 = clock timings in
+  let grid = spread () in
+  let t1 = clock timings in
+  if dims = 2 then
+    Fft.Fftnd.transform_2d ?pool ?scratch Fft.Dft.Inverse ~nx:g ~ny:g grid
+  else
+    Fft.Fftnd.transform_3d ?pool ?scratch Fft.Dft.Inverse ~nx:g ~ny:g ~nz:g
+      grid;
+  let t2 = clock timings in
+  if dims = 2 then crop_deapodize_2d_into plan grid image
+  else crop_deapodize_3d_into plan grid image;
+  match timings with
+  | None -> ()
+  | Some t ->
+      let t3 = Telemetry.Clock.now_ns () in
+      t.gridding_s <- t.gridding_s +. seconds (t1 - t0);
+      t.fft_s <- t.fft_s +. seconds (t2 - t1);
+      t.deapod_s <- t.deapod_s +. seconds (t3 - t2)
+
+let image_to_grid plan image =
+  let g = plan.g in
+  if image_dims plan image = 2 then begin
+    let big = pad_apodize_2d plan image in
+    Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Forward ~nx:g ~ny:g big;
+    big
+  end
+  else begin
+    let big = pad_apodize_3d plan image in
+    Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Forward ~nx:g ~ny:g ~nz:g
+      big;
+    big
+  end
+
+let check_forward plan (coords : Sample.t) image =
+  check_samples plan coords;
+  if image_dims plan image <> Sample.dims coords then
+    invalid_arg "Plan.forward: image size mismatch"
+
+(* The plan's own gridding engine: the paper's model of stage 1. In 3D
+   every engine grids with the (pool-)sliced {!Gridding3d} schedule. *)
+let engine_grid ?stats plan (s : Sample.t) =
+  let g = plan.g and table = plan.table and values = s.Sample.values in
+  let gx = Sample.gx s and gy = Sample.gy s in
+  if Sample.dims s = 2 then
+    Gridding.grid_2d ?stats ?pool:plan.pool plan.engine ~table ~g ~gx ~gy
+      values
+  else
+    let gz = Sample.gz s in
+    match plan.pool with
+    | Some pool ->
+        Gridding3d.grid_3d_parallel ?stats ~pool ~table ~g ~gx ~gy ~gz values
+    | None -> Gridding3d.grid_3d ?stats ~table ~g ~gx ~gy ~gz values
+
+let adjoint ?stats ?timings plan samples =
+  check_samples plan samples;
+  let image = image_for plan samples in
+  grid_to_image ?timings plan image ~spread:(fun () ->
+      engine_grid ?stats plan samples);
+  image
+
+let forward ?stats plan ~coords image =
+  check_forward plan coords image;
+  let big = image_to_grid plan image in
+  let g = plan.g and table = plan.table in
+  let gx = Sample.gx coords and gy = Sample.gy coords in
+  if Sample.dims coords = 2 then
+    Gridding.interp_2d ?stats ~table ~g ~gx ~gy big
+  else
+    Gridding3d.interp_3d ?stats ~table ~g ~gx ~gy ~gz:(Sample.gz coords) big
+
 (* Compiled sample plans: one (engine x bound coordinates) decomposition,
    replayed by every subsequent transform. The cache key is the physical
    identity of the coordinate arrays — [Sample.with_values] preserves them,
    so the forward/adjoint ping-pong of a CG solve always hits. *)
-
-let rec pow b e = if e = 0 then 1 else b * pow b (e - 1)
 
 (* Boundary-check cost of one gridding pass of [plan.engine], charged once
    at compile time in place of the per-iteration select stage it replaces.
@@ -355,55 +353,30 @@ let compiled ?stats plan (samples : Sample.t) =
 let replay_pool ?pool plan =
   match pool with Some _ -> pool | None -> plan.pool
 
-let adjoint_compiled_timed ?stats ?pool ?simd plan samples =
+(* Compilation (first call only) runs inside [spread], so it is
+   accounted to the gridding stage. *)
+let adjoint_compiled ?stats ?timings ?pool ?simd plan samples =
   let rpool = replay_pool ?pool plan in
   let simd = match simd with Some s -> s | None -> plan.simd in
-  let t0 = now () in
-  let sp = compiled ?stats plan samples in
-  let span = Gridding_stats.grid_span "grid.compiled-spread" in
-  let grid =
-    Sample_plan.spread_parallel ?stats ?pool:rpool ~simd sp
-      samples.Sample.values
-  in
-  Gridding_stats.end_span span;
-  let t1 = now () in
-  let dims = Sample.dims samples in
-  (match dims with
-  | 2 ->
-      Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Inverse ~nx:plan.g
-        ~ny:plan.g grid
-  | _ ->
-      Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Inverse ~nx:plan.g
-        ~ny:plan.g ~nz:plan.g grid);
-  let t2 = now () in
-  let image =
-    match dims with
-    | 2 -> crop_deapodize_2d plan grid
-    | _ -> crop_deapodize_3d plan grid
-  in
-  let t3 = now () in
-  (image, { gridding_s = t1 -. t0; fft_s = t2 -. t1; deapod_s = t3 -. t2 })
-
-let adjoint_compiled ?stats ?pool ?simd plan samples =
-  fst (adjoint_compiled_timed ?stats ?pool ?simd plan samples)
+  check_samples plan samples;
+  let image = image_for plan samples in
+  grid_to_image ?timings plan image ~spread:(fun () ->
+      let sp = compiled ?stats plan samples in
+      let span = Gridding_stats.grid_span "grid.compiled-spread" in
+      let grid =
+        Sample_plan.spread_parallel ?stats ?pool:rpool ~simd sp
+          samples.Sample.values
+      in
+      Gridding_stats.end_span span;
+      grid);
+  image
 
 let forward_compiled ?stats ?pool ?simd plan ~coords image =
   let rpool = replay_pool ?pool plan in
   let simd = match simd with Some s -> s | None -> plan.simd in
   let sp = compiled ?stats plan coords in
-  let big =
-    match Sample.dims coords with
-    | 2 ->
-        let big = pad_apodize_2d plan image in
-        Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Forward ~nx:plan.g
-          ~ny:plan.g big;
-        big
-    | _ ->
-        let big = pad_apodize_3d plan image in
-        Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Forward ~nx:plan.g
-          ~ny:plan.g ~nz:plan.g big;
-        big
-  in
+  check_forward plan coords image;
+  let big = image_to_grid plan image in
   let span = Gridding_stats.grid_span "grid.compiled-gather" in
   let out = Sample_plan.gather_parallel ?stats ?pool:rpool ~simd sp big in
   Gridding_stats.end_span span;

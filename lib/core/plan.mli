@@ -114,59 +114,63 @@ val resolve_geometry :
     plan its factory builds will carry. Raises on the same invalid
     combinations as {!make}. *)
 
-val adjoint_2d : ?stats:Gridding_stats.t -> plan -> Sample.t2 -> Numerics.Cvec.t
-(** Adjoint NuFFT of a 2D sample set (whose [g] must match the plan's) onto
-    an [n x n] centred image. *)
+(** {2 The NuFFT pipeline}
 
-val forward_2d :
-  ?stats:Gridding_stats.t ->
-  plan ->
-  gx:float array ->
-  gy:float array ->
-  Numerics.Cvec.t ->
-  Numerics.Cvec.t
-(** [forward_2d plan ~gx ~gy image] — forward NuFFT: evaluate the image's
-    spectrum at the given grid-unit sample coordinates. *)
+    Every adjoint in the repository — the plan's paper engines, compiled
+    replay, the serving tier's arena path and the hardware models — is
+    [spread -> inverse FFT -> crop/deapodize] through {!grid_to_image};
+    every forward starts with {!image_to_grid}. Only the spreading (and,
+    for the forward, the interpolation) differs between callers. *)
 
-val adjoint_1d :
-  ?stats:Gridding_stats.t ->
-  plan ->
-  coords:float array ->
-  Numerics.Cvec.t ->
-  Numerics.Cvec.t
-(** [adjoint_1d plan ~coords values] — 1D adjoint (coords in grid units
-    [0, g)); used heavily by the tests. *)
+(** Wall-clock decomposition of adjoint applications, for the
+    gridding-dominance experiments (paper §I: gridding can be >99.6% of
+    NuFFT time). An accumulator: each timed application adds its stage
+    times (monotonic clock). *)
+type timings = {
+  mutable gridding_s : float;
+  mutable fft_s : float;
+  mutable deapod_s : float;
+}
 
-val adjoint_3d :
-  ?stats:Gridding_stats.t ->
-  plan ->
-  gx:float array ->
-  gy:float array ->
-  gz:float array ->
-  Numerics.Cvec.t ->
-  Numerics.Cvec.t
-(** [adjoint_3d plan ~gx ~gy ~gz values] — 3D adjoint NuFFT onto an [n^3]
-    centred volume (coords in grid units [0, g)); gridding -> 3D FFT ->
-    separable de-apodization. Memory scales as [g^3]: meant for the small
-    volumes where a software reference is feasible (the hardware grids 3D
-    as 2D slices for exactly this reason). *)
+val create_timings : unit -> timings
+(** A zeroed accumulator. *)
 
-val forward_3d :
-  ?stats:Gridding_stats.t ->
+val gridding_fraction : timings -> float
+(** Gridding share of total time, in [0, 1]. *)
+
+val grid_to_image :
+  ?timings:timings ->
+  ?pool:Runtime.Pool.t ->
+  ?scratch:Numerics.Cvec.t ->
   plan ->
-  gx:float array ->
-  gy:float array ->
-  gz:float array ->
+  spread:(unit -> Numerics.Cvec.t) ->
   Numerics.Cvec.t ->
-  Numerics.Cvec.t
-(** [forward_3d plan ~gx ~gy ~gz volume] — evaluate the [n^3] volume's
-    spectrum at the sample coordinates. *)
+  unit
+(** [grid_to_image plan ~spread image] — the adjoint's stages:
+    [spread ()] produces the oversampled [g^dims] grid (by any means: a
+    gridding engine, compiled replay, a hardware model's readout), which
+    is inverse-FFT'd in place on [pool] (default: the plan's pool) with
+    the optional FFT line [scratch], then cropped and de-apodized into
+    the caller's [image]. The dimensionality follows from the image
+    length ([n^2] or [n^3]); every element of [image] is overwritten.
+    With [timings], the three stage times are added to it. *)
+
+val image_to_grid : plan -> Numerics.Cvec.t -> Numerics.Cvec.t
+(** [image_to_grid plan image] — the forward's head: embed the centred
+    [n^2] image or [n^3] volume into a zero-padded, apodization-divided
+    [g^dims] grid and forward-FFT it on the plan's pool. The result is
+    ready for interpolation at the sample locations. *)
 
 val adjoint :
-  ?stats:Gridding_stats.t -> plan -> Sample.t -> Numerics.Cvec.t
-(** Dimension-generic adjoint: dispatches on {!Sample.dims} to the 2D or
-    3D pipeline (an [n^2] image or [n^3] volume, row-major, centred). The
-    sample set's [g] must match the plan's. *)
+  ?stats:Gridding_stats.t ->
+  ?timings:timings ->
+  plan ->
+  Sample.t ->
+  Numerics.Cvec.t
+(** Adjoint NuFFT through the plan's gridding engine (the paper's model;
+    in 3D the (pool-)sliced {!Gridding3d} schedule whatever the engine):
+    an [n^2] image or [n^3] volume, row-major, centred. The sample set's
+    [g] must match the plan's. *)
 
 val forward :
   ?stats:Gridding_stats.t ->
@@ -174,60 +178,21 @@ val forward :
   coords:Sample.t ->
   Numerics.Cvec.t ->
   Numerics.Cvec.t
-(** Dimension-generic forward NuFFT: evaluate the [n^dims] image's spectrum
-    at the coordinates of [coords] (whose values are ignored). *)
-
-(** Wall-clock decomposition of one adjoint application, for the
-    gridding-dominance experiments (paper §I: gridding can be >99.6% of
-    NuFFT time). *)
-type timings = { gridding_s : float; fft_s : float; deapod_s : float }
-
-val adjoint_2d_timed :
-  ?stats:Gridding_stats.t -> plan -> Sample.t2 -> Numerics.Cvec.t * timings
-
-val adjoint_3d_timed :
-  ?stats:Gridding_stats.t -> plan -> Sample.t -> Numerics.Cvec.t * timings
-
-val adjoint_timed :
-  ?stats:Gridding_stats.t -> plan -> Sample.t -> Numerics.Cvec.t * timings
-(** Timed variants of {!adjoint}; {!adjoint_timed} dispatches on
-    {!Sample.dims}. *)
-
-val gridding_fraction : timings -> float
-(** Gridding share of total time, in [0, 1]. *)
-
-(** {2 Pipeline stages}
-
-    The shared tail (and head) of every backend's NuFFT: external engines
-    (the JIGSAW fixed-point model, GPU kernels) produce an oversampled
-    spread grid by their own means and then borrow the plan's FFT +
-    de-apodization to become end-to-end operators. *)
-
-val crop_deapodize_2d : plan -> Numerics.Cvec.t -> Numerics.Cvec.t
-(** [crop_deapodize_2d plan big] — fold an inverse-FFT'd [g x g]
-    oversampled grid down to the centred, de-apodized [n x n] image
-    (adjoint steps 2.5–3). *)
-
-val crop_deapodize_3d : plan -> Numerics.Cvec.t -> Numerics.Cvec.t
-(** 3D counterpart: [g^3] grid to centred [n^3] volume. *)
+(** Forward NuFFT: evaluate the [n^dims] image's spectrum at the
+    coordinates of [coords] (whose values are ignored) with the plan's
+    direct interpolation. *)
 
 val crop_deapodize_2d_into :
   plan -> Numerics.Cvec.t -> Numerics.Cvec.t -> unit
-(** [crop_deapodize_2d_into plan big image] — {!crop_deapodize_2d} into a
-    caller-provided [n x n] buffer, so a serving loop can reuse one pooled
-    image vector across requests. Every element is overwritten; the result
-    is bitwise the same as the allocating variant. *)
-
-val crop_deapodize_3d_into :
-  plan -> Numerics.Cvec.t -> Numerics.Cvec.t -> unit
-(** 3D counterpart of {!crop_deapodize_2d_into} ([n^3] buffer). *)
+(** [crop_deapodize_2d_into plan big image] — fold an inverse-FFT'd
+    [g x g] oversampled grid down to the centred, de-apodized [n x n]
+    image (adjoint steps 2.5–3), into a caller-provided buffer. Every
+    element is overwritten. *)
 
 val pad_apodize_2d : plan -> Numerics.Cvec.t -> Numerics.Cvec.t
 (** [pad_apodize_2d plan image] — embed the centred [n x n] image into a
     [g x g] zero-padded grid with apodization pre-division (forward
     step 1). *)
-
-val pad_apodize_3d : plan -> Numerics.Cvec.t -> Numerics.Cvec.t
 
 (** {2 Compiled sample plans}
 
@@ -249,6 +214,7 @@ val compiled : ?stats:Gridding_stats.t -> plan -> Sample.t -> Sample_plan.t
 
 val adjoint_compiled :
   ?stats:Gridding_stats.t ->
+  ?timings:timings ->
   ?pool:Runtime.Pool.t ->
   ?simd:bool ->
   plan ->
@@ -264,16 +230,8 @@ val adjoint_compiled :
 
     [simd] overrides the plan's default replay-SIMD flag for this call
     (see {!make}); it affects only the spread/gather replay — FFT and
-    deapodization stages dispatch on {!Simd.enabled} globally. *)
-
-val adjoint_compiled_timed :
-  ?stats:Gridding_stats.t ->
-  ?pool:Runtime.Pool.t ->
-  ?simd:bool ->
-  plan ->
-  Sample.t ->
-  Numerics.Cvec.t * timings
-(** Timed variant; compilation time (first call only) is accounted to the
+    deapodization stages dispatch on {!Simd.enabled} globally. With
+    [timings], compilation (first call only) is accounted to the
     gridding stage. *)
 
 val forward_compiled :

@@ -8,7 +8,8 @@ module Op = Nufft.Operator
 module Sample = Nufft.Sample
 module Wt = Numerics.Weight_table
 
-let now () = Unix.gettimeofday ()
+(* The plan's stage clock: stage times never exceed [adjoint_s]. *)
+let now () = float_of_int (Telemetry.Clock.now_ns ()) *. 1e-9
 
 (* Synthetic span for the cycle model, mirroring the jigsaw backend: the
    simulated kernel time lands on its own trace row (tid 901) with a
@@ -85,10 +86,12 @@ let make flavour op_name (c : Op.ctx) : Op.op =
     let adjoint s =
       let sp = Op.adjoint_span name in
       let t0 = now () in
-      let image, tm = Nufft.Plan.adjoint_timed ~stats:st.Op.grid plan s in
+      let image =
+        Nufft.Plan.adjoint ~stats:st.Op.grid ~timings:st.Op.stages plan s
+      in
       let cycles = simulate s in
       emit_cycle_span ~cycles;
-      Op.record_adjoint ~timings:tm ~cycles st ~elapsed_s:(now () -. t0);
+      Op.record_adjoint ~cycles st ~elapsed_s:(now () -. t0);
       Telemetry.span_end sp;
       image
 

@@ -75,21 +75,7 @@ let solve ?(max_iterations = 50) ?(tolerance = 1e-6) ?buffers ~apply b =
     residual_norms = List.rev !history;
     converged = !converged }
 
-let normal_equations_rhs ~plan ?weights samples =
-  let m = Nufft.Sample.length samples in
-  let samples =
-    match weights with
-    | None -> samples
-    | Some w ->
-        if Array.length w <> m then
-          invalid_arg "Cg.normal_equations_rhs: weights length mismatch";
-        Nufft.Sample.with_values samples
-          (Cvec.init m (fun j ->
-               C.scale w.(j) (Cvec.get samples.Nufft.Sample.values j)))
-  in
-  Nufft.Plan.adjoint plan samples
-
-(* Operator-interface counterparts: backend- and dimension-agnostic. *)
+(* Operator-interface helpers: backend- and dimension-agnostic. *)
 
 let weighted ?weights name samples =
   match weights with

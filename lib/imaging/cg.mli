@@ -43,21 +43,14 @@ val solve :
     is then a copy, so the arena can be immediately reused. Results are
     bitwise identical either way. *)
 
-val normal_equations_rhs :
-  plan:Nufft.Plan.plan ->
-  ?weights:float array ->
-  Nufft.Sample.t2 ->
-  Numerics.Cvec.t
-(** [A^H W y]: the right-hand side of the normal equations for a sample
-    set [y] — one (density-weighted) adjoint NuFFT. Dimension-generic
-    (dispatches on the sample set's dimensionality). *)
-
 val normal_equations_rhs_op :
   ?weights:float array ->
   Nufft.Operator.op ->
   Nufft.Sample.t ->
   Numerics.Cvec.t
-(** Same right-hand side through any registered backend. *)
+(** [A^H W y]: the right-hand side of the normal equations for a sample
+    set [y] — one (density-weighted) adjoint NuFFT through any registered
+    backend (for a plan, [Nufft.Operator.of_plan]). Dimension-generic. *)
 
 val normal_map :
   ?weights:float array ->

@@ -1,13 +1,15 @@
 (* End-to-end NuFFT operators backed by the JIGSAW fixed-point engines:
-   the hardware model grids, then the plan's FFT + de-apodization finish
-   the adjoint, making the ASIC drivable from any Operator consumer. *)
+   the hardware model grids, then the plan's stage function
+   ({!Nufft.Plan.grid_to_image}: FFT + de-apodization) finishes the
+   adjoint, making the ASIC drivable from any Operator consumer. *)
 
 module Op = Nufft.Operator
 module Sample = Nufft.Sample
 module Cvec = Numerics.Cvec
 module Wt = Numerics.Weight_table
 
-let now () = Unix.gettimeofday ()
+(* The plan's stage clock: stage times never exceed [adjoint_s]. *)
+let now () = float_of_int (Telemetry.Clock.now_ns ()) *. 1e-9
 
 (* Synthetic span for the cycle model: the simulated gridding pass is
    replayed on its own trace row (tid 900) with a duration derived from
@@ -78,22 +80,16 @@ let make_2d (c : Op.ctx) : Op.op =
       check_grid ~g s;
       let sp = Op.adjoint_span name in
       let t0 = now () in
-      Engine2d.reset engine;
-      Engine2d.stream engine ~gx:(Sample.gx s) ~gy:(Sample.gy s)
-        s.Sample.values;
-      let grid = Engine2d.readout engine in
+      let image = Cvec.create (n * n) in
+      Nufft.Plan.grid_to_image ~timings:st.Op.stages plan image
+        ~spread:(fun () ->
+          Engine2d.reset engine;
+          Engine2d.stream engine ~gx:(Sample.gx s) ~gy:(Sample.gy s)
+            s.Sample.values;
+          Engine2d.readout engine);
       let cycles = Engine2d.gridding_cycles engine in
       emit_cycle_span cfg ~cycles;
-      let t1 = now () in
-      Fft.Fftnd.transform_2d ?pool:c.Op.pool Fft.Dft.Inverse ~nx:g ~ny:g grid;
-      let t2 = now () in
-      let image = Nufft.Plan.crop_deapodize_2d plan grid in
-      let t3 = now () in
-      Op.record_adjoint ~cycles st ~elapsed_s:(t3 -. t0)
-        ~timings:
-          { Nufft.Plan.gridding_s = t1 -. t0;
-            fft_s = t2 -. t1;
-            deapod_s = t3 -. t2 };
+      Op.record_adjoint ~cycles st ~elapsed_s:(now () -. t0);
       Telemetry.span_end sp;
       image
 
@@ -131,33 +127,26 @@ let make_3d (c : Op.ctx) : Op.op =
     let adjoint s =
       check_grid ~g s;
       let sp = Op.adjoint_span name in
-      let m = Sample.length s in
       let t0 = now () in
-      let slices =
-        Engine3d.grid_volume engine ~gx:(Sample.gx s) ~gy:(Sample.gy s)
-          ~gz:(Sample.gz s) s.Sample.values
-      in
-      let big = Cvec.create (g * g * g) in
-      Array.iteri
-        (fun z slice ->
-          let base = z * g * g in
-          for i = 0 to (g * g) - 1 do
-            Cvec.set big (base + i) (Cvec.get slice i)
-          done)
-        slices;
-      let cycles = Engine3d.unsorted_cycles engine ~m in
+      let volume = Cvec.create (n * n * n) in
+      Nufft.Plan.grid_to_image ~timings:st.Op.stages plan volume
+        ~spread:(fun () ->
+          let slices =
+            Engine3d.grid_volume engine ~gx:(Sample.gx s) ~gy:(Sample.gy s)
+              ~gz:(Sample.gz s) s.Sample.values
+          in
+          let big = Cvec.create (g * g * g) in
+          Array.iteri
+            (fun z slice ->
+              let base = z * g * g in
+              for i = 0 to (g * g) - 1 do
+                Cvec.set big (base + i) (Cvec.get slice i)
+              done)
+            slices;
+          big);
+      let cycles = Engine3d.unsorted_cycles engine ~m:(Sample.length s) in
       emit_cycle_span cfg ~cycles;
-      let t1 = now () in
-      Fft.Fftnd.transform_3d ?pool:c.Op.pool Fft.Dft.Inverse ~nx:g ~ny:g ~nz:g
-        big;
-      let t2 = now () in
-      let volume = Nufft.Plan.crop_deapodize_3d plan big in
-      let t3 = now () in
-      Op.record_adjoint ~cycles st ~elapsed_s:(t3 -. t0)
-        ~timings:
-          { Nufft.Plan.gridding_s = t1 -. t0;
-            fft_s = t2 -. t1;
-            deapod_s = t3 -. t2 };
+      Op.record_adjoint ~cycles st ~elapsed_s:(now () -. t0);
       Telemetry.span_end sp;
       volume
 

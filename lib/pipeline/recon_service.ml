@@ -37,16 +37,18 @@ let error_message = function
   | Recon_error e -> Imaging.Recon.error_message e
   | Internal msg -> "internal error: " ^ msg
 
+(* [w] / [l] stay unset unless given, so {!Op.context} applies the one
+   geometry default ({!Plan.resolve_geometry}) at every [sigma]. *)
 type t = {
   pool : Pool.t option;
   cache : Plan_cache.t;
   ws : Workspace.t;
-  w : int;
+  w : int option;
   sigma : float;
-  l : int;
+  l : int option;
 }
 
-let create ?pool ?cache ?workspace ?(w = 6) ?(sigma = 2.0) ?(l = 512) () =
+let create ?pool ?cache ?workspace ?w ?(sigma = 2.0) ?l () =
   { pool;
     cache = (match cache with Some c -> c | None -> Plan_cache.create ());
     ws = (match workspace with Some w -> w | None -> Workspace.create ());
@@ -129,7 +131,7 @@ let op_of ?tol ?family ?(transform = Nufft.Transform.Type1) t ~backend ~n
     | Some tol ->
         Op.context ~tol ?family ~sigma:t.sigma ~transform ~n ~coords ()
     | None ->
-        Op.context ?family ~w:t.w ~sigma:t.sigma ~l:t.l ~transform ~n ~coords
+        Op.context ?family ?w:t.w ~sigma:t.sigma ?l:t.l ~transform ~n ~coords
           ()
   with
   | ctx -> (
@@ -141,24 +143,14 @@ let op_of ?tol ?family ?(transform = Nufft.Transform.Type1) t ~backend ~n
 let operator ?tol ?family ?transform t ~backend ~n ~coords =
   op_of ?tol ?family ?transform t ~backend ~n ~coords
 
-(* ["auto"] defers the backend choice to the tuner: measured trials over
-   the request's own trajectory on a cache miss, the cached winner after.
-   Resolved pool-less, matching how cached operators are built. With
-   [JIGSAW_TUNE=off] the tuner returns the default untouched, so the
-   request behaves exactly like an explicit ["serial"] request. *)
-let resolve_backend req =
-  if req.backend = "auto" then
-    Nufft.Tuner.resolve ?tol:req.tol ?family:req.family ~default:"serial"
-      ~n:req.n ~coords:req.coords ()
-  else req.backend
-
 (* ------------------------------------------------------------------ *)
-(* Fast direct path: for operators that expose their CPU plan, the whole
-   adjoint pipeline runs through the pooled arena — replay-spread into the
-   arena grid, in-place FFT with the arena line scratch, de-apodize into
-   the arena image — with arithmetic identical (operation order and all)
-   to [Recon.reconstruct_op], so results are bitwise the same while
-   steady-state allocation stays O(1) minor words. *)
+(* Fast direct path: for operators that expose their CPU plan, the
+   adjoint runs through the plan's stage function on the pooled arena —
+   replay-spread into the arena grid, in-place FFT with the arena line
+   scratch, de-apodize into the arena image — with arithmetic identical
+   (operation order and all) to [Recon.reconstruct_op], so results are
+   bitwise the same while steady-state allocation stays O(1) minor
+   words. *)
 
 module A1 = Bigarray.Array1
 
@@ -194,17 +186,11 @@ let fast_adjoint ?fft_pool t ~(plan : Plan.plan) ~canonical req =
      only the per-shard dispatch. Batch execution passes no pool and
      replays serially — bitwise the same image either way. *)
   let splan = Plan.compiled plan canonical in
-  Sample_plan.spread_parallel_into ?pool:fft_pool ~simd:plan.Plan.simd splan
-    vals a.Workspace.grid;
-  (match dims with
-  | 2 ->
-      Fft.Fftnd.transform_2d ?pool:fft_pool ~scratch:a.Workspace.line
-        Fft.Dft.Inverse ~nx:g ~ny:g a.Workspace.grid;
-      Plan.crop_deapodize_2d_into plan a.Workspace.grid a.Workspace.image
-  | _ ->
-      Fft.Fftnd.transform_3d ?pool:fft_pool ~scratch:a.Workspace.line
-        Fft.Dft.Inverse ~nx:g ~ny:g ~nz:g a.Workspace.grid;
-      Plan.crop_deapodize_3d_into plan a.Workspace.grid a.Workspace.image);
+  Plan.grid_to_image ?pool:fft_pool ~scratch:a.Workspace.line plan
+    a.Workspace.image ~spread:(fun () ->
+      Sample_plan.spread_parallel_into ?pool:fft_pool ~simd:plan.Plan.simd
+        splan vals a.Workspace.grid;
+      a.Workspace.grid);
   Cvec.scale_inplace (1.0 /. float_of_int m) a.Workspace.image;
   (* The response must outlive the arena: hand back a fresh copy (one
      bigarray allocation — O(1) minor words). *)
@@ -285,12 +271,10 @@ let run_one ?fft_pool t req =
     match validate req with
     | Error e -> Error e
     | Ok () -> (
-        match resolve_backend req with
-        | exception Invalid_argument msg -> Error (Invalid_request msg)
-        | backend -> (
         match
           op_of ?tol:req.tol ?family:req.family ~transform:req.transform t
-            ~backend ~n:req.n ~coords:req.coords
+            ~backend:(Op.resolve_backend req.backend) ~n:req.n
+            ~coords:req.coords
         with
         | Error e -> Error e
         | Ok pair -> (
@@ -298,7 +282,7 @@ let run_one ?fft_pool t req =
             | r -> r
             | exception Invalid_argument msg -> Error (Invalid_request msg)
             | exception Failure msg -> Error (Internal msg)
-            | exception exn -> Error (Internal (Printexc.to_string exn)))))
+            | exception exn -> Error (Internal (Printexc.to_string exn))))
   in
   let elapsed_s = now () -. t0 in
   Telemetry.span_end sp;

@@ -33,9 +33,9 @@ type method_ =
 
 type request = {
   backend : string;
-      (** registered operator backend name, or ["auto"] to let the
-          {!Nufft.Tuner} pick from measured trials over this trajectory
-          (with [JIGSAW_TUNE=off], ["auto"] degrades to ["serial"]) *)
+      (** registered operator backend name, or ["auto"]: resolved by
+          {!Nufft.Operator.resolve_backend} to ["replay-simd"] when SIMD
+          dispatch is live and ["serial"] otherwise *)
   transform : Nufft.Transform.t;
       (** which transform to apply. [Type1] is the reconstruction path
           (adjoint or CG); [Type2] evaluates the request's [values] — an
@@ -93,7 +93,8 @@ val create :
 (** A service instance. [pool] enables request-level parallelism for
     {!submit_batch}; [cache] / [workspace] default to fresh instances
     (share them to share amortisation across services); [w] / [sigma] /
-    [l] are the NuFFT geometry applied to every request (plan defaults). *)
+    [l] are the NuFFT geometry applied to every request. An omitted [w]
+    or [l] takes {!Nufft.Plan.make}'s default at [sigma]. *)
 
 val cache : t -> Plan_cache.t
 val workspace : t -> Workspace.t

@@ -212,10 +212,7 @@ let metrics_text t =
       [ ("srv.queue_depth", float_of_int s.s_queue_depth);
         ("srv.executing", float_of_int s.s_executing);
         ("srv.active_connections", float_of_int s.s_active_connections);
-        ("srv.tenants", float_of_int s.s_tenants);
-        (* tuner.trial / tuner.hit counters render from the registry;
-           the cached-key population only exists as a snapshot. *)
-        ("tuner.cached_keys", float_of_int (Nufft.Tuner.size ())) ]
+        ("srv.tenants", float_of_int s.s_tenants) ]
     ()
 
 (* ------------------------------------------------------------------ *)

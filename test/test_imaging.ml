@@ -156,9 +156,12 @@ let test_toeplitz_matches_normal_operator () =
       C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
   let via_toeplitz = Imaging.Toeplitz.apply t x in
   (* Explicit A^H (A x) with the NuFFT pair. *)
-  let ax = Nufft.Plan.forward_2d plan ~gx ~gy x in
-  let s = Nufft.Sample.make_2d ~g ~gx ~gy ~values:ax in
-  let via_pair = Nufft.Plan.adjoint_2d plan s in
+  let coords =
+    Nufft.Sample.make_2d ~g ~gx ~gy ~values:(Cvec.create (Array.length gx))
+  in
+  let ax = Nufft.Plan.forward plan ~coords x in
+  let s = Nufft.Sample.with_values coords ax in
+  let via_pair = Nufft.Plan.adjoint plan s in
   let err = Cvec.nrmsd ~reference:via_pair via_toeplitz in
   Alcotest.(check bool) (Printf.sprintf "toeplitz = A^H A (nrmsd %.2e)" err)
     true (err < 5e-3)
@@ -241,7 +244,11 @@ let test_iterative_beats_direct () =
   let direct_err = Metrics.nrmsd_scaled ~reference:img direct in
   let t = Imaging.Toeplitz.make ~n ~omega_x:traj.Trajectory.Traj.omega_x
       ~omega_y:traj.Trajectory.Traj.omega_y () in
-  let b = Imaging.Cg.normal_equations_rhs ~plan samples in
+  let b =
+    Imaging.Cg.normal_equations_rhs_op
+      (Nufft.Operator.of_plan plan ~coords:samples)
+      samples
+  in
   let r = Imaging.Cg.solve ~max_iterations:15 ~tolerance:1e-8
       ~apply:(Imaging.Toeplitz.apply t) b in
   let cg_err = Metrics.nrmsd_scaled ~reference:img r.Imaging.Cg.solution in

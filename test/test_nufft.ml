@@ -544,7 +544,7 @@ let nufft_vs_nudft_adjoint_2d ~engine ~n ~m ~seed =
   let samples =
     Sample.of_omega_2d ~g:plan.Nufft.Plan.g ~omega_x ~omega_y ~values
   in
-  let fast = Nufft.Plan.adjoint_2d plan samples in
+  let fast = Nufft.Plan.adjoint plan samples in
   let exact = Nudft.adjoint_2d ~n ~omega_x ~omega_y ~values in
   Cvec.nrmsd ~reference:exact fast
 
@@ -574,7 +574,7 @@ let test_nufft_accuracy_improves_with_w () =
     let samples =
       Sample.of_omega_2d ~g:plan.Nufft.Plan.g ~omega_x ~omega_y ~values
     in
-    let fast = Nufft.Plan.adjoint_2d plan samples in
+    let fast = Nufft.Plan.adjoint plan samples in
     let exact = Nudft.adjoint_2d ~n:16 ~omega_x ~omega_y ~values in
     Cvec.nrmsd ~reference:exact fast
   in
@@ -593,7 +593,10 @@ let test_nufft_forward_accuracy () =
       C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
   let gx = Array.map (Sample.omega_to_grid ~g:plan.Nufft.Plan.g) omega_x in
   let gy = Array.map (Sample.omega_to_grid ~g:plan.Nufft.Plan.g) omega_y in
-  let fast = Nufft.Plan.forward_2d plan ~gx ~gy image in
+  let coords =
+    Sample.make_2d ~g:plan.Nufft.Plan.g ~gx ~gy ~values:(Cvec.create m)
+  in
+  let fast = Nufft.Plan.forward plan ~coords image in
   let exact = Nudft.forward_2d ~n ~omega_x ~omega_y ~image in
   let err = Cvec.nrmsd ~reference:exact fast in
   Alcotest.(check bool) (Printf.sprintf "nrmsd %.2e" err) true (err < 2e-3)
@@ -610,31 +613,19 @@ let test_nufft_adjoint_pair () =
       C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
   let y = Cvec.init m (fun _ ->
       C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
-  let fx = Nufft.Plan.forward_2d plan ~gx:(Sample.gx s) ~gy:(Sample.gy s) x in
-  let ay = Nufft.Plan.adjoint_2d plan (Sample.with_values s y) in
+  let fx = Nufft.Plan.forward plan ~coords:s x in
+  let ay = Nufft.Plan.adjoint plan (Sample.with_values s y) in
   let lhs = Cvec.dot fx y and rhs = Cvec.dot x ay in
   let scale = C.norm lhs +. C.norm rhs +. 1.0 in
   check_close ~eps:(1e-10 *. scale) "re" lhs.C.re rhs.C.re;
   check_close ~eps:(1e-10 *. scale) "im" lhs.C.im rhs.C.im
 
-let test_nufft_adjoint_1d () =
-  let n = 32 and m = 80 in
-  let plan = Nufft.Plan.make ~n () in
-  let rng = Random.State.make [| 41 |] in
-  let omega = random_omega rng m in
-  let values = Cvec.init m (fun _ ->
-      C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
-  let coords = Array.map (Sample.omega_to_grid ~g:plan.Nufft.Plan.g) omega in
-  let fast = Nufft.Plan.adjoint_1d plan ~coords values in
-  let exact = Nudft.adjoint_1d ~n ~omega ~values in
-  let err = Cvec.nrmsd ~reference:exact fast in
-  Alcotest.(check bool) (Printf.sprintf "nrmsd %.2e" err) true (err < 2e-3)
-
 let test_nufft_timed () =
   let n = 32 and m = 500 in
   let plan = Nufft.Plan.make ~n () in
   let s = Sample.random_2d ~seed:6 ~g:plan.Nufft.Plan.g m in
-  let image, t = Nufft.Plan.adjoint_2d_timed plan s in
+  let t = Nufft.Plan.create_timings () in
+  let image = Nufft.Plan.adjoint ~timings:t plan s in
   Alcotest.(check int) "image size" (n * n) (Cvec.length image);
   Alcotest.(check bool) "gridding time recorded" true (t.Nufft.Plan.gridding_s >= 0.0);
   let f = Nufft.Plan.gridding_fraction t in
@@ -650,7 +641,7 @@ let test_plan_validation () =
     (fun () ->
       let plan = Nufft.Plan.make ~n:16 () in
       let s = Sample.random_2d ~g:16 10 in
-      ignore (Nufft.Plan.adjoint_2d plan s))
+      ignore (Nufft.Plan.adjoint plan s))
 
 (* ------------------------------------------------------------------ *)
 (* Tolerance-driven plans *)
@@ -762,11 +753,8 @@ let prop_tol_plan_adjoint_pair =
               (Random.State.float rng 2.0 -. 1.0)
               (Random.State.float rng 2.0 -. 1.0))
       in
-      let fx =
-        Nufft.Plan.forward_2d plan ~gx:(Sample.gx samples)
-          ~gy:(Sample.gy samples) x
-      in
-      let ay = Nufft.Plan.adjoint_2d plan samples in
+      let fx = Nufft.Plan.forward plan ~coords:samples x in
+      let ay = Nufft.Plan.adjoint plan samples in
       let lhs = Cvec.dot fx values and rhs = Cvec.dot x ay in
       let scale = C.norm lhs +. C.norm rhs +. 1.0 in
       let pair_ok =
@@ -801,7 +789,7 @@ let test_nufft_non_pow2_sigma () =
     let samples =
       Sample.of_omega_2d ~g:plan.Nufft.Plan.g ~omega_x ~omega_y ~values
     in
-    let fast = Nufft.Plan.adjoint_2d plan samples in
+    let fast = Nufft.Plan.adjoint plan samples in
     let exact = Nudft.adjoint_2d ~n:16 ~omega_x ~omega_y ~values in
     Cvec.nrmsd ~reference:exact fast
   in
@@ -896,8 +884,11 @@ let test_nufft_3d_vs_nudft () =
   let values = Cvec.init m (fun _ ->
       C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
   let to_grid = Array.map (Sample.omega_to_grid ~g) in
-  let fast = Nufft.Plan.adjoint_3d plan ~gx:(to_grid ox) ~gy:(to_grid oy)
-      ~gz:(to_grid oz) values in
+  let samples =
+    Sample.make_3d ~g ~gx:(to_grid ox) ~gy:(to_grid oy) ~gz:(to_grid oz)
+      ~values
+  in
+  let fast = Nufft.Plan.adjoint plan samples in
   let exact = Nudft.adjoint_3d ~n ~omega_x:ox ~omega_y:oy ~omega_z:oz ~values in
   let err = Cvec.nrmsd ~reference:exact fast in
   Alcotest.(check bool) (Printf.sprintf "3d adjoint nrmsd %.2e" err) true
@@ -914,8 +905,9 @@ let test_nufft_3d_adjoint_pair () =
       C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
   let y = Cvec.init m (fun _ ->
       C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
-  let fx = Nufft.Plan.forward_3d plan ~gx ~gy ~gz x in
-  let ay = Nufft.Plan.adjoint_3d plan ~gx ~gy ~gz y in
+  let s = Sample.make_3d ~g ~gx ~gy ~gz ~values:y in
+  let fx = Nufft.Plan.forward plan ~coords:s x in
+  let ay = Nufft.Plan.adjoint plan s in
   let lhs = Cvec.dot fx y and rhs = Cvec.dot x ay in
   let scale = C.norm lhs +. C.norm rhs +. 1.0 in
   check_close ~eps:(1e-10 *. scale) "re" lhs.C.re rhs.C.re;
@@ -970,7 +962,7 @@ let test_minmax_scaled_beats_kb () =
   let exact = Nudft.adjoint_2d ~n ~omega_x:ox ~omega_y:oy ~values in
   let samples = Sample.of_omega_2d ~g ~omega_x:ox ~omega_y:oy ~values in
   let kb_err =
-    Cvec.nrmsd ~reference:exact (Nufft.Plan.adjoint_2d plan samples)
+    Cvec.nrmsd ~reference:exact (Nufft.Plan.adjoint plan samples)
   in
   let mm =
     Nufft.Minmax.adjoint_2d ~scaling:Nufft.Minmax.Kaiser_bessel_scaling ~n ~g
@@ -1169,7 +1161,6 @@ let () =
            test_nufft_accuracy_improves_with_w;
          Alcotest.test_case "forward accuracy" `Quick test_nufft_forward_accuracy;
          Alcotest.test_case "adjoint pair" `Quick test_nufft_adjoint_pair;
-         Alcotest.test_case "adjoint 1d" `Quick test_nufft_adjoint_1d;
          Alcotest.test_case "timed decomposition" `Quick test_nufft_timed;
          Alcotest.test_case "plan validation" `Quick test_plan_validation;
          Alcotest.test_case "tol-derived geometry" `Quick test_plan_tol_geometry;

@@ -244,7 +244,29 @@ let test_stats () =
   let cst = Op.stats_of cpu in
   Alcotest.(check int) "CPU backends report no cycles" 0 cst.Op.cycles;
   Alcotest.(check bool) "stage timings recorded" true
-    (cst.Op.gridding_s > 0.0 && cst.Op.adjoint_s >= cst.Op.gridding_s)
+    (cst.Op.stages.Nufft.Plan.gridding_s > 0.0
+    && cst.Op.adjoint_s >= cst.Op.stages.Nufft.Plan.gridding_s);
+  (* The hardware models reach FFT and de-apodization through the plan's
+     stage function: all three stages are timed, inside the adjoint. *)
+  let coords3 = Sample.random_3d ~seed:9 ~g:(2 * n) m in
+  List.iter
+    (fun (backend, coords) ->
+      let op = Op.create backend (Op.context ~n ~coords ()) in
+      ignore (Op.apply_adjoint op coords);
+      let st = Op.stats_of op in
+      let t = st.Op.stages in
+      Alcotest.(check bool)
+        (backend ^ ": gridding, fft and deapod timed")
+        true
+        (t.Nufft.Plan.gridding_s > 0.0
+        && t.Nufft.Plan.fft_s > 0.0
+        && t.Nufft.Plan.deapod_s > 0.0);
+      Alcotest.(check bool)
+        (backend ^ ": stage sum <= adjoint_s")
+        true
+        (t.Nufft.Plan.gridding_s +. t.Nufft.Plan.fft_s +. t.Nufft.Plan.deapod_s
+        <= st.Op.adjoint_s))
+    [ ("jigsaw-2d", coords); ("jigsaw-3d", coords3); ("gpusim-slice", coords) ]
 
 (* ------------------------------------------------------------------ *)
 

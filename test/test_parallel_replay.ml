@@ -121,7 +121,8 @@ let test_plan_pool_default () =
         (Plan.adjoint_compiled pooled_plan s))
 
 (* ------------------------------------------------------------------ *)
-(* Operator registry: the replay-parallel backend against serial. *)
+(* Operator registry: the serial backend built on a pool (region-sharded
+   replay) against the pool-less one. *)
 
 let test_backend_bitwise () =
   let n = 16 in
@@ -135,15 +136,13 @@ let test_backend_bitwise () =
   List.iter
     (fun d ->
       with_pool d (fun pool ->
-          let op =
-            Op.create "replay-parallel" (Op.context ~pool ~n ~coords ())
-          in
+          let op = Op.create "serial" (Op.context ~pool ~n ~coords ()) in
           check_bitwise
-            (Printf.sprintf "replay-parallel adjoint, pool %d" d)
+            (Printf.sprintf "sharded adjoint, pool %d" d)
             reference
             (Op.apply_adjoint op coords);
           check_bitwise
-            (Printf.sprintf "replay-parallel forward, pool %d" d)
+            (Printf.sprintf "sharded forward, pool %d" d)
             fwd_ref.Sample.values
             (Op.apply_forward op reference).Sample.values))
     pool_sizes
@@ -255,7 +254,7 @@ let test_determinism_stress () =
           (cos (0.7 *. float_of_int j)))
   in
   let req =
-    { Svc.backend = "replay-parallel";
+    { Svc.backend = "serial";
       transform = Nufft.Transform.Type1;
       n;
       coords;
@@ -306,7 +305,7 @@ let () =
             ( "3d adjoint/forward compiled across pool sizes",
               test_adjoint_compiled_bitwise ~dims:3 );
             ("plan-owned pool replay", test_plan_pool_default) ] );
-      ("operator", bit2 [ ("replay-parallel backend", test_backend_bitwise) ]);
+      ("operator", bit2 [ ("serial backend on a pool", test_backend_bitwise) ]);
       ( "partition",
         Qutil.to_alcotests [ prop_partition_covers ]
         @ bit2 [ ("partition cache", test_partition_cached) ] );

@@ -239,48 +239,57 @@ let test_workspace_reuse () =
   Ws.checkin ws b1;
   Ws.checkin ws b2
 
-(* Every registered 2D backend, through the service twice (fresh arena,
-   then reused arena), against a fresh-buffer reference reconstruction:
-   all three images must be bitwise identical. *)
+(* Every registered 2D backend and every 3D-capable CPU backend, through
+   the service twice (fresh arena, then reused arena), against a
+   fresh-buffer reference reconstruction: all three images must be
+   bitwise identical. *)
 let test_arena_bitwise_all_backends () =
+  let svc = Svc.create () in
+  let check_backends ~n ~coords ~density backends =
+    let values = values_for coords in
+    List.iter
+      (fun backend ->
+        let req =
+          { Svc.backend;
+            transform = Nufft.Transform.Type1;
+            n;
+            coords;
+            values;
+            density;
+            method_ = Svc.Adjoint;
+            tol = None;
+            family = None }
+        in
+        let r1 = sok (Svc.submit svc req) in
+        let r2 = sok (Svc.submit svc req) in
+        let op = Op.create backend (ctx_for n coords) in
+        let reference =
+          match
+            Imaging.Recon.reconstruct_op ?density op
+              (Sample.with_values coords values)
+          with
+          | Ok image -> image
+          | Error e ->
+              Alcotest.failf "%s reference: %s" backend
+                (Imaging.Recon.error_message e)
+        in
+        check_bitwise (backend ^ ": arena = fresh buffers") reference
+          r1.Svc.image;
+        check_bitwise (backend ^ ": reused arena = first arena") r1.Svc.image
+          r2.Svc.image)
+      backends
+  in
   let n = 16 in
   let traj, coords = radial ~n in
-  let density = Trajectory.Radial.density_weights traj in
-  let values = values_for coords in
-  let svc = Svc.create () in
-  List.iter
-    (fun backend ->
-      let req =
-        { Svc.backend;
-          transform = Nufft.Transform.Type1;
-          n;
-          coords;
-          values;
-          density = Some density;
-          method_ = Svc.Adjoint;
-          tol = None;
-          family = None }
-      in
-      let r1 = sok (Svc.submit svc req) in
-      let r2 = sok (Svc.submit svc req) in
-      let op = Op.create backend (ctx_for n coords) in
-      let reference =
-        match
-          Imaging.Recon.reconstruct_op ~density op
-            (Sample.with_values coords values)
-        with
-        | Ok image -> image
-        | Error e ->
-            Alcotest.failf "%s reference: %s" backend
-              (Imaging.Recon.error_message e)
-      in
-      check_bitwise (backend ^ ": arena = fresh buffers") reference
-        r1.Svc.image;
-      check_bitwise (backend ^ ": reused arena = first arena") r1.Svc.image
-        r2.Svc.image)
+  check_backends ~n ~coords
+    ~density:(Some (Trajectory.Radial.density_weights traj))
+    (List.filter (fun b -> b <> latch_name) (Op.names ~dims:2 ()));
+  let n = 12 in
+  let coords = Sample.random_3d ~seed:19 ~g:(2 * n) 700 in
+  check_backends ~n ~coords ~density:None
     (List.filter
-       (fun b -> b <> latch_name)
-       (Op.names ~dims:2 ()))
+       (fun b -> Op.plan_of (Op.create b (ctx_for n coords)) <> None)
+       (Op.names ~dims:3 ()))
 
 let test_steady_state_allocation () =
   Telemetry.set_enabled false;
@@ -555,6 +564,57 @@ let test_batch_overlap () =
         (Printf.sprintf "overlap released the latch promptly (%.1fs)" dt)
         true (dt < 4.0))
 
+(* An unset service width takes the plan's sigma-derived default: at
+   sigma = 1.5 that is the Beatty width 7, not the sigma = 2 width 6. *)
+let test_geometry_defaults () =
+  let n = 16 and sigma = 1.5 in
+  let coords = Sample.random_2d ~seed:3 ~g:24 200 in
+  let svc = Svc.create ~sigma () in
+  match Svc.operator svc ~backend:"serial" ~n ~coords with
+  | Error e -> Alcotest.failf "operator: %s" (Svc.error_message e)
+  | Ok (op, _) ->
+      let plan = Option.get (Op.plan_of op) in
+      let reference = Nufft.Plan.make ~sigma ~n () in
+      Alcotest.(check int) "w = Plan.make's w" reference.Nufft.Plan.w
+        plan.Nufft.Plan.w;
+      Alcotest.(check int) "l = Plan.make's l" reference.Nufft.Plan.l
+        plan.Nufft.Plan.l
+
+(* ["auto"] is a rule on the SIMD dispatch state: the image is the named
+   backend's bit for bit, and a repeat request hits the plan cache. *)
+let test_auto_backend () =
+  let n = 16 in
+  let _, coords = radial ~n in
+  let values = values_for coords in
+  let req backend =
+    { Svc.backend;
+      transform = Nufft.Transform.Type1;
+      n;
+      coords;
+      values;
+      density = None;
+      method_ = Svc.Adjoint;
+      tol = None;
+      family = None }
+  in
+  List.iter
+    (fun (impl, expected) ->
+      Simd.with_impl impl @@ fun () ->
+      let label = Simd.impl_name (Simd.active ()) in
+      Alcotest.(check string) (label ^ ": auto resolves") expected
+        (Op.resolve_backend "auto");
+      let svc = Svc.create () in
+      let auto = sok (Svc.submit svc (req "auto")) in
+      let hits = (Cache.stats (Svc.cache svc)).Cache.hits in
+      let again = sok (Svc.submit svc (req "auto")) in
+      Alcotest.(check int) (label ^ ": repeat auto is a cache hit") (hits + 1)
+        (Cache.stats (Svc.cache svc)).Cache.hits;
+      let named = sok (Svc.submit (Svc.create ()) (req expected)) in
+      check_bitwise (label ^ ": auto = " ^ expected) named.Svc.image
+        auto.Svc.image;
+      check_bitwise (label ^ ": repeat auto") auto.Svc.image again.Svc.image)
+    [ (Simd.Off, "serial"); (Simd.available, "replay-simd") ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -584,4 +644,8 @@ let () =
           Alcotest.test_case "type-3 and type-2 requests" `Quick
             test_type3_and_type2_through_service;
           Alcotest.test_case "batch overlap across the pool" `Quick
-            test_batch_overlap ] ) ]
+            test_batch_overlap;
+          Alcotest.test_case "geometry defaults from the plan" `Quick
+            test_geometry_defaults;
+          Alcotest.test_case "auto backend rule" `Quick test_auto_backend ] )
+    ]
