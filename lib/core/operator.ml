@@ -293,8 +293,7 @@ let of_plan ?name ?(transform = Transform.Type1) ?targets
         in
         let t3 =
           Plan.make_type3 ~kernel:p.Plan.kernel ~w:p.Plan.w ~sigma:p.Plan.sigma
-            ~l:p.Plan.l ?pool:p.Plan.pool ~simd:p.Plan.simd ~sources ~targets
-            ()
+            ~l:p.Plan.l ?pool:p.Plan.pool ~sources ~targets ()
         in
         Some (t3, st)
   in
@@ -351,7 +350,7 @@ let of_plan ?name ?(transform = Transform.Type1) ?targets
    grids with the (pool-)sliced Gridding3d schedule whatever the 2D engine,
    so in 3D the names differ only in the plan they carry. *)
 
-let cpu_backend ?(simd = false) name engine_of : factory =
+let cpu_backend name engine_of : factory =
  fun c ->
   let engine = engine_of ~g:(ctx_grid c) ~w:c.w in
   let plan =
@@ -361,10 +360,10 @@ let cpu_backend ?(simd = false) name engine_of : factory =
            deterministic shared derivation guarantees the result matches
            the context's (kernel, w, l). *)
         Plan.make ~tol:t ?family:c.family ~sigma:c.sigma ~l:c.l ~engine
-          ?pool:c.pool ~simd ~n:c.n ()
+          ?pool:c.pool ~n:c.n ()
     | None ->
         Plan.make ~kernel:c.kernel ~w:c.w ~sigma:c.sigma ~l:c.l ~engine
-          ?pool:c.pool ~simd ~n:c.n ()
+          ?pool:c.pool ~n:c.n ()
   in
   of_plan ~name ~transform:c.transform ?targets:c.targets plan ~coords:c.coords
 
@@ -387,15 +386,12 @@ let () =
         fun ~g ~w -> Gridding.Slice_and_dice (Coord.fallback_tile ~g ~w) );
       ( "slice-parallel",
         "Slice-and-Dice column-outer schedule on the domain pool",
-        fun ~g ~w -> Gridding.Slice_parallel (Coord.fallback_tile ~g ~w) ) ];
-  (* Same replay pipeline with the plan's SIMD flag set: spread/gather run
-     through the runtime-dispatched C kernels (scalar when the host has no
-     vector unit or JIGSAW_SIMD=off|scalar). Registered separately so the
-     conformance suite exercises the SIMD path against every reference,
-     and so plan-cache keys (by backend name) never mix the two. *)
-  register ~transforms:Transform.all
-    ~doc:
-      "compiled-plan replay through the runtime-dispatched SIMD kernels \
-       (4-ULP contract vs serial; honours JIGSAW_SIMD)"
-    "replay-simd"
-    (cpu_backend ~simd:true "replay-simd" (fun ~g:_ ~w:_ -> Gridding.Serial))
+        fun ~g ~w -> Gridding.Slice_parallel (Coord.fallback_tile ~g ~w) );
+      (* Every CPU plan replays through the dispatched SIMD kernels, so
+         this name builds the same plan as "serial". It stays registered
+         for the "auto" rule, its conformance rows and its plan-cache
+         keys. *)
+      ( "replay-simd",
+        "compiled-plan replay, the same plan as serial (kept for the auto \
+         rule; honours JIGSAW_SIMD like every CPU backend)",
+        fun ~g:_ ~w:_ -> Gridding.Serial ) ]

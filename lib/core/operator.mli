@@ -216,8 +216,9 @@ val create : string -> ctx -> op
 
 val resolve_backend : string -> string
 (** [resolve_backend "auto"] is ["replay-simd"] when {!Simd.enabled} and
-    ["serial"] otherwise; any other name is returned unchanged. Both pick
-    compiled replay; they differ only in the spread/gather kernels. *)
+    ["serial"] otherwise; any other name is returned unchanged. Both
+    build the same plan, whose replay dispatches on {!Simd.enabled}; the
+    name keys the plan cache. *)
 
 (** {2 Helpers} *)
 

@@ -58,7 +58,7 @@ let resolve_geometry ?tol ?family ?kernel ?w ?l ~sigma () =
       (None, kernel, w, Option.value l ~default:512)
 
 let make ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?(engine = Gridding.Serial)
-    ?(table_precision = Wt.Double) ?pool ?(simd = false) ~n () =
+    ?(table_precision = Wt.Double) ?pool ~n () =
   if n < 2 then invalid_arg "Plan.make: n must be >= 2";
   if sigma <= 1.0 then invalid_arg "Plan.make: sigma must be > 1";
   let tol, kernel, w, l = resolve_geometry ?tol ?family ?kernel ?w ?l ~sigma () in
@@ -77,7 +77,7 @@ let make ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?(engine = Gridding.Serial)
   let deapod = Apodization.factors ~kernel ~width:w ~n ~g in
   Telemetry.span_end sp_deapod;
   Telemetry.span_end sp;
-  { n; sigma; g; w; l; tol; kernel; table; deapod; engine; pool; simd;
+  { n; sigma; g; w; l; tol; kernel; table; deapod; engine; pool; simd = true;
     cache = None }
 
 (* The adjoint evaluates x_n = (1 / psi_hat(n/G)) * B[n mod G] where
@@ -355,30 +355,30 @@ let replay_pool ?pool plan =
 
 (* Compilation (first call only) runs inside [spread], so it is
    accounted to the gridding stage. *)
-let adjoint_compiled ?stats ?timings ?pool ?simd plan samples =
+let adjoint_compiled ?stats ?timings ?pool plan samples =
   let rpool = replay_pool ?pool plan in
-  let simd = match simd with Some s -> s | None -> plan.simd in
   check_samples plan samples;
   let image = image_for plan samples in
   grid_to_image ?timings plan image ~spread:(fun () ->
       let sp = compiled ?stats plan samples in
       let span = Gridding_stats.grid_span "grid.compiled-spread" in
       let grid =
-        Sample_plan.spread_parallel ?stats ?pool:rpool ~simd sp
+        Sample_plan.spread_parallel ?stats ?pool:rpool ~simd:plan.simd sp
           samples.Sample.values
       in
       Gridding_stats.end_span span;
       grid);
   image
 
-let forward_compiled ?stats ?pool ?simd plan ~coords image =
+let forward_compiled ?stats ?pool plan ~coords image =
   let rpool = replay_pool ?pool plan in
-  let simd = match simd with Some s -> s | None -> plan.simd in
   let sp = compiled ?stats plan coords in
   check_forward plan coords image;
   let big = image_to_grid plan image in
   let span = Gridding_stats.grid_span "grid.compiled-gather" in
-  let out = Sample_plan.gather_parallel ?stats ?pool:rpool ~simd sp big in
+  let out =
+    Sample_plan.gather_parallel ?stats ?pool:rpool ~simd:plan.simd sp big
+  in
   Gridding_stats.end_span span;
   out
 
@@ -445,8 +445,8 @@ let check_axes ~what ~dims ~m axes =
         a)
     axes
 
-let make_type3 ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?pool ?(simd = false)
-    ~sources ~targets () =
+let make_type3 ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?pool ~sources
+    ~targets () =
   let dims = Array.length sources in
   if dims < 2 || dims > 3 then
     invalid_arg "Plan.make_type3: dims must be 2 or 3";
@@ -534,7 +534,7 @@ let make_type3 ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?pool ?(simd = false)
         C.exp_i !ph)
   in
   (* Inner type-2 plan over the nf-point base grid, same kernel geometry. *)
-  let inner = make ~kernel ~w ~sigma ~l ?pool ~simd ~n:nf () in
+  let inner = make ~kernel ~w ~sigma ~l ?pool ~n:nf () in
   let g2 = inner.g in
   let icoords =
     Array.init dims (fun d ->
@@ -578,7 +578,7 @@ let make_type3 ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?pool ?(simd = false)
     t3_inner_coords = inner_coords;
     t3_post = post;
     t3_pool = pool;
-    t3_simd = simd;
+    t3_simd = true;
   }
 
 (* fftshift: spread grid index l (torus [0, nf), position l or l - nf) to

@@ -36,10 +36,11 @@ type plan = private {
   pool : Runtime.Pool.t option;
       (** domain pool used by every transform of this plan *)
   simd : bool;
-      (** default SIMD flag for the compiled replay paths: when true (and
-          {!Simd.enabled}), [_compiled] spread/gather replay through the
-          C kernels; the FFT and deapodization stages dispatch on
-          {!Simd.enabled} alone regardless of this flag *)
+      (** always [true]: the [_compiled] spread/gather replay through the
+          {!Simd} C kernels whenever {!Simd.enabled}, as the FFT and
+          deapodization stages do, and through the OCaml loops under
+          [JIGSAW_SIMD=off]. Kept so callers replaying a plan's
+          {!Sample_plan} directly can pass it as [~simd]. *)
   mutable cache : cached option;
       (** most recently compiled sample plan, keyed on the physical
           identity of the bound coordinate arrays *)
@@ -55,7 +56,6 @@ val make :
   ?engine:Gridding.engine ->
   ?table_precision:Numerics.Weight_table.precision ->
   ?pool:Runtime.Pool.t ->
-  ?simd:bool ->
   n:int ->
   unit ->
   plan
@@ -93,12 +93,7 @@ val make :
     One pool amortises domain spawning across all iterations of a CG
     reconstruction. Results are bit-identical to the pool-less plan except
     for the 3D gridding schedule (sliced rather than sample-outer, equal to
-    within accumulation order).
-
-    [simd] (default false) makes the [_compiled] transforms replay their
-    spread/gather streams through the {!Simd} C kernels by default (the
-    per-call [?simd] argument overrides it); it is a no-op when SIMD
-    dispatch is off ([JIGSAW_SIMD=off]). *)
+    within accumulation order). *)
 
 val resolve_geometry :
   ?tol:float ->
@@ -216,7 +211,6 @@ val adjoint_compiled :
   ?stats:Gridding_stats.t ->
   ?timings:timings ->
   ?pool:Runtime.Pool.t ->
-  ?simd:bool ->
   plan ->
   Sample.t ->
   Numerics.Cvec.t
@@ -228,16 +222,14 @@ val adjoint_compiled :
     no pool anywhere means serial replay, so callers already running
     inside a pool cannot deadlock on a nested submission.
 
-    [simd] overrides the plan's default replay-SIMD flag for this call
-    (see {!make}); it affects only the spread/gather replay — FFT and
-    deapodization stages dispatch on {!Simd.enabled} globally. With
-    [timings], compilation (first call only) is accounted to the
-    gridding stage. *)
+    Every stage dispatches on {!Simd.enabled}: the spread replays
+    through the factored {!Simd} kernels, bit-identical to the OCaml
+    loop of [JIGSAW_SIMD=off]. With [timings], compilation (first call
+    only) is accounted to the gridding stage. *)
 
 val forward_compiled :
   ?stats:Gridding_stats.t ->
   ?pool:Runtime.Pool.t ->
-  ?simd:bool ->
   plan ->
   coords:Sample.t ->
   Numerics.Cvec.t ->
@@ -274,7 +266,6 @@ val make_type3 :
   ?sigma:float ->
   ?l:int ->
   ?pool:Runtime.Pool.t ->
-  ?simd:bool ->
   sources:float array array ->
   targets:float array array ->
   unit ->
@@ -282,8 +273,8 @@ val make_type3 :
 (** [make_type3 ~sources ~targets ()] prepares the transform for the given
     point sets (one axis array per dimension; 2 or 3 dims; axes of one set
     must share a length). Geometry knobs ([tol]/[family]/[kernel]/[w]/
-    [sigma]/[l]) resolve exactly as in {!make}; [pool] and [simd] flow to
-    the spread replay, the inner FFT and the inner gather. Raises
+    [sigma]/[l]) resolve exactly as in {!make}; [pool] flows to the
+    spread replay, the inner FFT and the inner gather. Raises
     [Invalid_argument] on dimension/length mismatches, non-finite
     coordinates, or when the product of source and target extents forces
     a fine grid too large to allocate ([(2 nf)^dims > 2^26] cells) — in

@@ -63,26 +63,35 @@ let make ~g ~coords ~values =
   validate s;
   s
 
+(* A non-finite omega has no grid position: [omega_to_grid] would map
+   NaN through [Float.rem] to NaN and +-inf to NaN, and the gridding
+   loops would silently drop or misplace the sample. *)
+let grid_axes name ~g omega =
+  Array.mapi
+    (fun a axis ->
+      Array.mapi
+        (fun j om ->
+          if not (Float.is_finite om) then
+            invalid_arg
+              (Printf.sprintf "%s: non-finite omega %g at sample %d (axis %d)"
+                 name om j a);
+          omega_to_grid ~g om)
+        axis)
+    omega
+
 let of_omega ~g ~omega ~values =
   check_lengths "Sample.of_omega" omega values;
-  { coords = Array.map (Array.map (omega_to_grid ~g)) omega; values; g }
+  { coords = grid_axes "Sample.of_omega" ~g omega; values; g }
 
 let of_omega_2d ~g ~omega_x ~omega_y ~values =
-  check_lengths "Sample.of_omega_2d" [| omega_x; omega_y |] values;
-  { coords =
-      [| Array.map (omega_to_grid ~g) omega_x;
-         Array.map (omega_to_grid ~g) omega_y |];
-    values;
-    g }
+  let omega = [| omega_x; omega_y |] in
+  check_lengths "Sample.of_omega_2d" omega values;
+  { coords = grid_axes "Sample.of_omega_2d" ~g omega; values; g }
 
 let of_omega_3d ~g ~omega_x ~omega_y ~omega_z ~values =
-  check_lengths "Sample.of_omega_3d" [| omega_x; omega_y; omega_z |] values;
-  { coords =
-      [| Array.map (omega_to_grid ~g) omega_x;
-         Array.map (omega_to_grid ~g) omega_y;
-         Array.map (omega_to_grid ~g) omega_z |];
-    values;
-    g }
+  let omega = [| omega_x; omega_y; omega_z |] in
+  check_lengths "Sample.of_omega_3d" omega values;
+  { coords = grid_axes "Sample.of_omega_3d" ~g omega; values; g }
 
 let make_2d ~g ~gx ~gy ~values =
   check_lengths "Sample.make_2d" [| gx; gy |] values;

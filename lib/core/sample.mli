@@ -55,7 +55,8 @@ val make : g:int -> coords:float array array -> values:Numerics.Cvec.t -> t
 val of_omega :
   g:int -> omega:float array array -> values:Numerics.Cvec.t -> t
 (** Build from k-space angular frequencies, one array per axis. Raises
-    [Invalid_argument] on length mismatch. *)
+    [Invalid_argument] on length mismatch, and on a NaN or infinite
+    omega (the message names the sample index and axis). *)
 
 val of_omega_2d :
   g:int ->
@@ -63,7 +64,7 @@ val of_omega_2d :
   omega_y:float array ->
   values:Numerics.Cvec.t ->
   t
-(** 2D convenience wrapper over {!of_omega}. *)
+(** 2D convenience wrapper over {!of_omega}; same validation. *)
 
 val of_omega_3d :
   g:int ->
@@ -72,6 +73,7 @@ val of_omega_3d :
   omega_z:float array ->
   values:Numerics.Cvec.t ->
   t
+(** 3D convenience wrapper over {!of_omega}; same validation. *)
 
 val make_2d :
   g:int -> gx:float array -> gy:float array -> values:Numerics.Cvec.t -> t

@@ -27,8 +27,11 @@ type t = {
   g : int;
   w : int;
   points : int;
-  idx : int array;
-  wgt : float array;
+  (* Factored windows: sample [j]'s axis [a] occupies [w] entries at
+     [(j * dims + a) * w] — wrapped cell offsets times the axis stride
+     (1, g, g^2) in [off], table weights in [wts]. *)
+  off : int array;
+  wts : float array;
   pmutex : Mutex.t;
   mutable part : partition option;
 }
@@ -41,7 +44,7 @@ let points_per_sample t = t.points
 let rec pow b e = if e = 0 then 1 else b * pow b (e - 1)
 let grid_length t = pow t.g t.dims
 
-let memory_words t = (2 * t.m * t.points) + 8
+let memory_words t = Array.length t.off + Array.length t.wts + 8
 
 let add_stats = Gridding_serial.add_grid_stats
 
@@ -74,12 +77,15 @@ let[@inline] lut tbl tlen lf d =
   let a = int_of_float (Float.round (Float.abs d *. lf)) in
   if a >= tlen then 0.0 else Array.unsafe_get tbl a
 
-(* Compilation enumerates each sample's interpolation window in exactly the
-   order the serial engine spreads it (y-outer then x, z-outer in 3D) and
-   records the flattened grid index and the finished scalar weight of every
-   window point. Replay then re-walks the arrays in that order, so the
-   accumulation order onto any given grid cell — and therefore the floating
-   point result — is bit-identical to the serial and slice engines.
+(* Compilation records, per sample and per axis, the [w] wrapped cell
+   offsets of the interpolation window (pre-multiplied by the axis
+   stride: 1, g, g^2) and the [w] table weights — one lookup per axis
+   per window point. Replay rebuilds entry (iz, iy, ix) as cell
+   [oz + oy + ox] with weight [(wz *. wy) *. wx] (3D) or [wx *. wy]
+   (2D), walking z-outer, then y, then x: the enumeration order and the
+   weight product of the serial engine, so the accumulation order onto
+   every grid cell — and therefore the floating-point result — is
+   bit-identical to the serial and slice engines.
 
    Stats: compilation charges the select/eval cost (the decomposition: the
    caller-supplied [select_checks] plus one [window_evals] per table lookup
@@ -88,105 +94,95 @@ let[@inline] lut tbl tlen lf d =
    from a compiled plan therefore leaves the decomposition counters
    untouched — the property the CG amortization tests pin down. *)
 
-let compile_2d ?stats ?(select_checks = 0) ~table ~g ~gx ~gy () =
+let compile ?stats ~select_checks ~table ~g axes =
+  let dims = Array.length axes in
+  let m = Array.length axes.(0) in
   let w = Wt.width table in
-  let m = Array.length gx in
-  if Array.length gy <> m then
-    invalid_arg "Sample_plan.compile_2d: coords length mismatch";
   let tbl = Wt.data table and lf = float_of_int (Wt.oversampling table) in
   let tlen = Array.length tbl in
-  let points = w * w in
-  let idx = Array.make (m * points) 0 in
-  let wgt = Array.make (m * points) 0.0 in
-  for j = 0 to m - 1 do
-    let uy = Array.unsafe_get gy j and ux = Array.unsafe_get gx j in
-    let sy = window_start w uy and sx = window_start w ux in
-    let base = j * points in
-    for iy = 0 to w - 1 do
-      let kyu = sy + iy in
-      let ky = wrap g kyu in
-      let wy = lut tbl tlen lf (float_of_int kyu -. uy) in
-      let row = ky * g in
-      let rbase = base + (iy * w) in
-      for ix = 0 to w - 1 do
-        let kxu = sx + ix in
-        let kx = wrap g kxu in
-        let wx = lut tbl tlen lf (float_of_int kxu -. ux) in
-        Array.unsafe_set idx (rbase + ix) (row + kx);
-        Array.unsafe_set wgt (rbase + ix) (wx *. wy)
+  let span = dims * w in
+  let off = Array.make (m * span) 0 in
+  let wts = Array.make (m * span) 0.0 in
+  let stride = ref 1 in
+  for a = 0 to dims - 1 do
+    let coords = axes.(a) and st = !stride in
+    for j = 0 to m - 1 do
+      let u = Array.unsafe_get coords j in
+      let s = window_start w u in
+      let base = (j * span) + (a * w) in
+      for i = 0 to w - 1 do
+        let ku = s + i in
+        Array.unsafe_set off (base + i) (wrap g ku * st);
+        Array.unsafe_set wts (base + i) (lut tbl tlen lf (float_of_int ku -. u))
       done
-    done
+    done;
+    stride := st * g
   done;
-  add_stats stats ~samples:0 ~checks:select_checks
-    ~evals:((m * w) + (m * w * w))
+  add_stats stats ~samples:0 ~checks:select_checks ~evals:(dims * m * w)
     ~accums:0;
-  { dims = 2; m; g; w; points; idx; wgt; pmutex = Mutex.create (); part = None }
+  { dims; m; g; w; points = pow w dims; off; wts; pmutex = Mutex.create ();
+    part = None }
+
+let compile_2d ?stats ?(select_checks = 0) ~table ~g ~gx ~gy () =
+  if Array.length gy <> Array.length gx then
+    invalid_arg "Sample_plan.compile_2d: coords length mismatch";
+  compile ?stats ~select_checks ~table ~g [| gx; gy |]
 
 let compile_3d ?stats ?(select_checks = 0) ~table ~g ~gx ~gy ~gz () =
-  let w = Wt.width table in
   let m = Array.length gx in
   if Array.length gy <> m || Array.length gz <> m then
     invalid_arg "Sample_plan.compile_3d: coords length mismatch";
-  let tbl = Wt.data table and lf = float_of_int (Wt.oversampling table) in
-  let tlen = Array.length tbl in
-  let points = w * w * w in
-  let idx = Array.make (m * points) 0 in
-  let wgt = Array.make (m * points) 0.0 in
-  for j = 0 to m - 1 do
-    let uz = Array.unsafe_get gz j
-    and uy = Array.unsafe_get gy j
-    and ux = Array.unsafe_get gx j in
-    let sz = window_start w uz
-    and sy = window_start w uy
-    and sx = window_start w ux in
-    let base = j * points in
-    for iz = 0 to w - 1 do
-      let kzu = sz + iz in
-      let kz = wrap g kzu in
-      let wz = lut tbl tlen lf (float_of_int kzu -. uz) in
-      for iy = 0 to w - 1 do
-        let kyu = sy + iy in
-        let ky = wrap g kyu in
-        let wyz = wz *. lut tbl tlen lf (float_of_int kyu -. uy) in
-        let plane = ((kz * g) + ky) * g in
-        let rbase = base + (((iz * w) + iy) * w) in
-        for ix = 0 to w - 1 do
-          let kxu = sx + ix in
-          let kx = wrap g kxu in
-          let wx = lut tbl tlen lf (float_of_int kxu -. ux) in
-          Array.unsafe_set idx (rbase + ix) (plane + kx);
-          Array.unsafe_set wgt (rbase + ix) (wyz *. wx)
+  compile ?stats ~select_checks ~table ~g [| gx; gy; gz |]
+
+(* [simd] selects the factored C kernels from {!Simd} when dispatch is
+   active; they walk the same rows and form the same products in the
+   same order as the OCaml loops below (no FMA contraction), so the
+   result is bit-identical (documented contract: 4 ULP). *)
+let[@inline] use_simd simd = simd && Simd.enabled ()
+
+(* The OCaml replay loops, the [JIGSAW_SIMD=off] path: one per
+   dimensionality, each walking the same rows in the same order as
+   {!iter_entries} and the C kernels. The 2D weight is [wx *. wy], the
+   serial engine's operand order. *)
+
+let replay_spread ~simd t values out =
+  let w = t.w and off = t.off and wts = t.wts in
+  let span = t.dims * w in
+  if use_simd simd then Simd.spread values off wts t.dims out
+  else if t.dims = 2 then
+    for j = 0 to t.m - 1 do
+      let vr = get_re values j and vi = get_im values j in
+      let bx = j * span in
+      let by = bx + w in
+      for iy = by to by + w - 1 do
+        let row = Array.unsafe_get off iy in
+        let wy = Array.unsafe_get wts iy in
+        for ix = bx to bx + w - 1 do
+          let k = row + Array.unsafe_get off ix in
+          let weight = Array.unsafe_get wts ix *. wy in
+          acc_parts out k (weight *. vr) (weight *. vi)
         done
       done
     done
-  done;
-  add_stats stats ~samples:0 ~checks:select_checks
-    ~evals:((m * w) + (m * w * w) + (m * w * w * w))
-    ~accums:0;
-  { dims = 3; m; g; w; points; idx; wgt; pmutex = Mutex.create (); part = None }
-
-(* [simd] selects the C kernels from {!Simd} when dispatch is active;
-   they mirror these loops operation for operation (128-bit (re,im)
-   lanes, broadcast real weight, no FMA contraction), so the result is
-   the same within the documented 4-ULP contract — bitwise in practice
-   on the spread path, whose op order is preserved exactly. *)
-let[@inline] use_simd simd = simd && Simd.enabled ()
-
-let replay_spread ~simd t values out =
-  if use_simd simd then Simd.spread values t.idx t.wgt out
-  else begin
-    let p = t.points in
-    let idx = t.idx and wgt = t.wgt in
+  else
     for j = 0 to t.m - 1 do
       let vr = get_re values j and vi = get_im values j in
-      let base = j * p in
-      for i = 0 to p - 1 do
-        let k = Array.unsafe_get idx (base + i) in
-        let weight = Array.unsafe_get wgt (base + i) in
-        acc_parts out k (weight *. vr) (weight *. vi)
+      let bx = j * span in
+      let by = bx + w in
+      for iz = by + w to by + (2 * w) - 1 do
+        let plane = Array.unsafe_get off iz in
+        let wz = Array.unsafe_get wts iz in
+        for iy = by to by + w - 1 do
+          let row = plane + Array.unsafe_get off iy in
+          let wyz = wz *. Array.unsafe_get wts iy in
+          for ix = bx to bx + w - 1 do
+            let k = row + Array.unsafe_get off ix in
+            let weight = wyz *. Array.unsafe_get wts ix in
+            acc_parts out k (weight *. vr) (weight *. vi)
+          done
+        done
       done
     done
-  end
 
 let spread ?stats ?(simd = false) t values =
   if Cvec.length values <> t.m then
@@ -206,22 +202,47 @@ let spread_into ?stats ?(simd = false) t values out =
   add_stats stats ~samples:t.m ~checks:0 ~evals:0 ~accums:(t.m * t.points)
 
 let gather_range ~simd t grid out ~lo ~hi =
-  if use_simd simd then Simd.gather grid t.idx t.wgt out lo hi
-  else begin
-    let p = t.points in
-    let idx = t.idx and wgt = t.wgt in
+  let w = t.w and off = t.off and wts = t.wts in
+  let span = t.dims * w in
+  if use_simd simd then Simd.gather grid off wts t.dims out lo hi
+  else if t.dims = 2 then
     for j = lo to hi - 1 do
-      let base = j * p in
+      let bx = j * span in
+      let by = bx + w in
       let acc_re = ref 0.0 and acc_im = ref 0.0 in
-      for i = 0 to p - 1 do
-        let k = Array.unsafe_get idx (base + i) in
-        let weight = Array.unsafe_get wgt (base + i) in
-        acc_re := !acc_re +. (weight *. get_re grid k);
-        acc_im := !acc_im +. (weight *. get_im grid k)
+      for iy = by to by + w - 1 do
+        let row = Array.unsafe_get off iy in
+        let wy = Array.unsafe_get wts iy in
+        for ix = bx to bx + w - 1 do
+          let k = row + Array.unsafe_get off ix in
+          let weight = Array.unsafe_get wts ix *. wy in
+          acc_re := !acc_re +. (weight *. get_re grid k);
+          acc_im := !acc_im +. (weight *. get_im grid k)
+        done
       done;
       set_parts out j !acc_re !acc_im
     done
-  end
+  else
+    for j = lo to hi - 1 do
+      let bx = j * span in
+      let by = bx + w in
+      let acc_re = ref 0.0 and acc_im = ref 0.0 in
+      for iz = by + w to by + (2 * w) - 1 do
+        let plane = Array.unsafe_get off iz in
+        let wz = Array.unsafe_get wts iz in
+        for iy = by to by + w - 1 do
+          let row = plane + Array.unsafe_get off iy in
+          let wyz = wz *. Array.unsafe_get wts iy in
+          for ix = bx to bx + w - 1 do
+            let k = row + Array.unsafe_get off ix in
+            let weight = wyz *. Array.unsafe_get wts ix in
+            acc_re := !acc_re +. (weight *. get_re grid k);
+            acc_im := !acc_im +. (weight *. get_im grid k)
+          done
+        done
+      done;
+      set_parts out j !acc_re !acc_im
+    done
 
 let gather ?stats ?(simd = false) t grid =
   if Cvec.length grid <> grid_length t then
@@ -251,17 +272,34 @@ let gather ?stats ?(simd = false) t grid =
    wide ones. Each shard is guaranteed at least one row; the shard count
    is clamped to the row count. *)
 
+(* [iter_entries t j f] calls [f cell weight] for each window entry of
+   sample [j] in replay order, with replay's index sum and weight
+   product — the expanded (index, weight) stream the shards store. *)
+let iter_entries t j f =
+  let w = t.w and off = t.off and wts = t.wts in
+  let bx = j * t.dims * w in
+  let by = bx + w in
+  let bz = by + w in
+  for iz = 0 to (if t.dims = 3 then w else 1) - 1 do
+    let plane = if t.dims = 3 then off.(bz + iz) else 0 in
+    let wz = if t.dims = 3 then wts.(bz + iz) else 1.0 in
+    for iy = 0 to w - 1 do
+      let row = plane + off.(by + iy) and wr = wz *. wts.(by + iy) in
+      for ix = 0 to w - 1 do
+        f (row + off.(bx + ix)) (wr *. wts.(bx + ix))
+      done
+    done
+  done
+
 let build_partition t ~requested =
   let sp = Gridding_stats.grid_span "plan.partition" in
   let g = t.g in
   let rows = pow g (t.dims - 1) in
   let n = max 1 (min requested rows) in
   let total = t.m * t.points in
-  let idx = t.idx and wgt = t.wgt in
   let hist = Array.make rows 0 in
-  for e = 0 to total - 1 do
-    let r = Array.unsafe_get idx e / g in
-    Array.unsafe_set hist r (Array.unsafe_get hist r + 1)
+  for j = 0 to t.m - 1 do
+    iter_entries t j (fun k _ -> hist.(k / g) <- hist.(k / g) + 1)
   done;
   (* Greedy cuts: shard s owns rows [cuts.(s), cuts.(s+1)). Advance each
      cut until accumulated entry mass reaches the s-th balanced target,
@@ -304,20 +342,14 @@ let build_partition t ~requested =
   (* Bucket the entry stream in plan order, so each shard's entries stay
      sample-monotonic (the bit-identity invariant). *)
   let fill = Array.make n 0 in
-  let p = t.points in
   for j = 0 to t.m - 1 do
-    let base = j * p in
-    for i = 0 to p - 1 do
-      let e = base + i in
-      let k = Array.unsafe_get idx e in
-      let s = Array.unsafe_get owner (k / g) in
-      let sh = Array.unsafe_get shards s in
-      let f = Array.unsafe_get fill s in
-      Array.unsafe_set sh.e_smp f j;
-      Array.unsafe_set sh.e_idx f k;
-      Array.unsafe_set sh.e_wgt f (Array.unsafe_get wgt e);
-      Array.unsafe_set fill s (f + 1)
-    done
+    iter_entries t j (fun k weight ->
+        let s = owner.(k / g) in
+        let sh = shards.(s) and f = fill.(s) in
+        sh.e_smp.(f) <- j;
+        sh.e_idx.(f) <- k;
+        sh.e_wgt.(f) <- weight;
+        fill.(s) <- f + 1)
   done;
   Gridding_stats.end_span sp;
   { requested; p_rows = rows; shards }

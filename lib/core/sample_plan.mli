@@ -1,23 +1,43 @@
 (** Compiled sample plans: the slice-and-dice decomposition done once.
 
-    A compiled plan is the fixed part of gridding a particular trajectory —
-    for every sample, the flattened grid indices of its [w^dims]
-    interpolation-window points and the finished scalar weight at each —
-    precomputed into two flat arrays. {!spread} and {!gather} then replay
-    those arrays with a pure streaming multiply-accumulate loop: no
-    boundary checks, no window evaluation, no tile arithmetic.
+    A compiled plan is the fixed part of gridding a particular trajectory,
+    stored factored per axis, the way JIGSAW's weight unit and FINUFFT's
+    spreader see a separable kernel: for every sample and every axis, the
+    [w] wrapped cell offsets of its interpolation window (x cells, y rows
+    pre-multiplied by [g], z planes pre-multiplied by [g^2]) and the [w]
+    table weights. {!spread} and {!gather} replay that layout with a
+    streaming multiply-accumulate loop: no boundary checks, no table
+    lookups, no tile arithmetic.
+
+    {b Layout and footprint.} Two flat arrays of [m * dims * w] entries
+    each — an int array of offsets and a float array of weights, sample
+    [j]'s axis [a] at [(j * dims + a) * w] — so a plan costs
+    [2 * dims * w] words per sample ([4w] in 2D, [6w] in 3D) where the
+    expanded (index, weight) stream cost [2 * w^dims] ([2w^2], [2w^3]).
+    At [w = 6] in 2D that is 192 bytes per sample instead of 576:
+    a 32,768-sample spiral is 6.3 MB, the 500k-sample Image 4 96 MB.
+    {!memory_words} reports exactly this, so a byte-budgeted cache sees
+    the real size.
+
+    {b Bit-identity.} Replay forms entry (iz, iy, ix)'s grid index as the
+    integer sum [oz + oy + ox] and its weight as [(wz *. wy) *. wx] in 3D
+    and [wy *. wx] in 2D — the products the serial engine forms (IEEE
+    multiplication commutes) — and walks entries in the serial engine's
+    (sample, z, y, x) order. The accumulation order onto every grid cell,
+    and so every replayed transform, is therefore bit-identical to the
+    serial (and slice) engine results. The {!Simd} kernels walk the same
+    rows and form the same products, so the same holds under every
+    dispatched implementation.
 
     Iterative reconstruction (CG, Toeplitz kernel construction) applies the
     same operator on the same coordinates tens of times; compiling once and
     replaying moves the whole decomposition cost out of the iteration loop.
-    The replay enumeration order matches the serial engine exactly, so
-    replayed transforms are bit-identical to the serial (and slice) engine
-    results.
 
     Stats accounting splits along the same line: compilation charges
     [boundary_checks] (the caller-supplied select cost of the engine whose
-    decomposition is being amortised) and [window_evals]; replay charges
-    only [samples_processed] and [grid_accumulates]. The decomposition
+    decomposition is being amortised) and [window_evals] ([dims * w] per
+    sample, one per table lookup); replay charges only
+    [samples_processed] and [grid_accumulates]. The decomposition
     counters of a stats record therefore advance exactly once per compiled
     plan no matter how many times it is replayed. *)
 
@@ -37,7 +57,8 @@ val grid_length : t -> int
 (** [g^dims]: flattened length of the grid {!spread} produces. *)
 
 val memory_words : t -> int
-(** Approximate footprint of the compiled arrays, in words. *)
+(** Footprint of the compiled arrays, in words: [2 * m * dims * w] plus
+    a constant. A cached region {!partition} is not included. *)
 
 val compile_2d :
   ?stats:Gridding_stats.t ->
@@ -74,10 +95,11 @@ val spread :
     [g^dims] grid by replaying the compiled arrays. Bit-identical to
     {!Gridding_serial} on the same inputs.
 
-    [simd] (default [false]) replays through the {!Simd} C kernel when
-    SIMD dispatch is active; the kernel preserves the scalar op order, so
-    the result stays bit-identical on this path (documented contract:
-    4 ULP). The flag is a no-op when [Simd.enabled ()] is false. *)
+    [simd] (default [false]) replays through the factored {!Simd.spread}
+    kernel when SIMD dispatch is active, else through the OCaml loop;
+    both form the same products in the same order, so the result is the
+    same bit for bit (documented contract: 4 ULP). Every {!Plan}
+    transform passes [true]. *)
 
 val spread_into :
   ?stats:Gridding_stats.t ->
@@ -111,7 +133,9 @@ val gather :
     y-row in 2D, a (z,y)-row in 3D) are cut into contiguous bands, one
     per shard, with cuts placed by greedy entry-mass balancing over a
     per-row histogram. Each shard holds exactly the plan entries landing
-    in its band, in plan (sample, window-point) order; every grid cell
+    in its band as an expanded (sample, index, weight) stream, enumerated
+    from the factored windows in plan (sample, window-point) order with
+    replay's index sum and weight product; every grid cell
     has one exclusive writer and receives its contributions in serial
     order, so parallel replay is bit-identical to {!spread} for every
     shard count — no atomics, no privatized grids to merge.

@@ -69,7 +69,7 @@ let with_impl i f =
    place. Callers are responsible for (a) checking [enabled ()] first and
    (b) bounds — these are the innermost hot loops. *)
 
-external spread : Cvec.t -> int array -> float array -> Cvec.t -> unit
+external spread : Cvec.t -> int array -> float array -> int -> Cvec.t -> unit
   = "jigsaw_simd_spread"
 [@@noalloc]
 
@@ -79,7 +79,7 @@ external spread_shard :
 [@@noalloc]
 
 external gather :
-  Cvec.t -> int array -> float array -> Cvec.t -> int -> int -> unit
+  Cvec.t -> int array -> float array -> int -> Cvec.t -> int -> int -> unit
   = "jigsaw_simd_gather_bc" "jigsaw_simd_gather"
 [@@noalloc]
 

@@ -52,13 +52,19 @@ val with_impl : impl -> (unit -> 'a) -> 'a
 
     No bounds checks — callers validate. Only call when {!enabled}. *)
 
-external spread : Numerics.Cvec.t -> int array -> float array -> Numerics.Cvec.t -> unit
+external spread :
+  Numerics.Cvec.t -> int array -> float array -> int -> Numerics.Cvec.t -> unit
   = "jigsaw_simd_spread"
 [@@noalloc]
-(** [spread values idx wgt out]: for each sample [j] of [values] and each
-    of its [p = Array.length idx / m] window points [i],
-    [out.(idx.(j*p+i)) <- out.(idx.(j*p+i)) + wgt.(j*p+i] * values.(j)]
-    (complex += real * complex), in entry order. [out] is not zeroed. *)
+(** [spread values off wts dims out] replays a factored compiled plan
+    (the {!Nufft.Sample_plan} layout): sample [j] of [values] owns the
+    [dims * w] entries at [j * dims * w] of [off] and [wts]
+    ([w = Array.length off / (m * dims)]), axis [a]'s [w] wrapped cell
+    offsets and table weights at [a * w] — x cells, then y rows
+    pre-multiplied by [g], then z planes pre-multiplied by [g * g]. For
+    every window entry, in (sample, z, y, x) order,
+    [out.(plane + row + kx) += ((wz *. wy) *. wx) * values.(j)] (complex
+    += real * complex; [wy *. wx] in 2D). [out] is not zeroed. *)
 
 external spread_shard :
   Numerics.Cvec.t -> int array -> int array -> float array -> Numerics.Cvec.t -> unit
@@ -70,13 +76,13 @@ external spread_shard :
     target the same cell; serial order is the bit-identity contract). *)
 
 external gather :
-  Numerics.Cvec.t -> int array -> float array -> Numerics.Cvec.t -> int -> int -> unit
+  Numerics.Cvec.t -> int array -> float array -> int -> Numerics.Cvec.t -> int -> int -> unit
   = "jigsaw_simd_gather_bc" "jigsaw_simd_gather"
 [@@noalloc]
-(** [gather grid idx wgt out lo hi]: for each sample [j] in [[lo, hi)),
-    [out.(j) <- sum_i wgt.(j*p+i) * grid.(idx.(j*p+i))] with
-    [p = Array.length idx / Cvec.length out], accumulated in entry
-    order from zero. *)
+(** [gather grid off wts dims out lo hi]: for each sample [j] in
+    [[lo, hi)), [out.(j) <- sum weight * grid.(cell)] over [j]'s window
+    entries in the {!spread} layout and order ([m = Cvec.length out]),
+    accumulated in entry order from zero. *)
 
 external fft_batch : Numerics.Cvec.t -> int array -> float array -> int -> int -> unit
   = "jigsaw_simd_fft_batch"

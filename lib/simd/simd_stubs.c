@@ -1,5 +1,6 @@
 /* SIMD kernels for the hot flat loops: compiled-plan replay spread and
- * gather (indexed scatter/gather multiply-accumulate), radix-2 FFT
+ * gather over the factored per-axis window layout (indexed
+ * scatter/gather multiply-accumulate), radix-2 FFT
  * butterfly lines over interleaved complex data, and deapodization rows
  * (pointwise complex-by-real scale).
  *
@@ -14,9 +15,11 @@
  * OCaml test suite still only asserts the documented <= 4 ULP contract.
  *
  * Ordering constraints honoured here:
- *  - spread within one sample may process window points two at a time
- *    (the read-modify-writes stay in entry order, so even a repeated
- *    target cell accumulates in the scalar order);
+ *  - spread within one window row may update two grid cells per
+ *    read-modify-write only when the row's cells are contiguous (hence
+ *    distinct); a row that crosses the wrap seam updates one cell at a
+ *    time in entry order, so even a repeated target cell accumulates in
+ *    the scalar order;
  *  - shard replay streams entries strictly one at a time: adjacent
  *    entries of a shard can come from different samples yet target the
  *    same cell, and the region-ownership bit-identity guarantee needs
@@ -75,127 +78,155 @@ CAMLprim value jigsaw_simd_set(value impl)
 #define IDX(v, i) Long_val(Field((v), (i)))
 
 /* ------------------------------------------------------------------ */
-/* Replay spread: out[idx[e]] += wgt[e] * values[e / points].          */
+/* Factored window layout (see Sample_plan): sample j owns the block
+ * [j*dims*w, (j+1)*dims*w) of both [off] (wrapped cell offsets, int
+ * array) and [wts] (table weights, float array); inside it axis a holds
+ * w entries at a*w: x offsets are cells kx, y offsets rows ky*g, z
+ * offsets planes kz*g*g. Window entry (iz, iy, ix) targets the cell
+ * plane + row + kx with weight (wz*wy)*wx in 3-D and wy*wx in 2-D —
+ * the 2-D case walks one plane with wz = 1.0, an exact multiply — in
+ * (sample, z, y, x) order, the compile order of the expanded stream it
+ * replaces. Every kernel below forms the row weight wr = wz*wy once
+ * per row and the entry weight wr*wx per entry; IEEE products commute,
+ * so these equal the OCaml loop's bit for bit. */
 
-static void spread_scalar(const double *vals, value idx, const double *wgt,
-                          double *out, long m, long p)
+/* Widest window the vector bodies stage on the stack; wider windows
+ * (far beyond any plan this library builds) take the scalar body. */
+#define MAX_W 64
+
+static inline long nplanes(long dims, long w) { return dims == 3 ? w : 1; }
+
+/* Replay spread: out[cell] += weight * values[j] for every entry. */
+
+static void spread_scalar(const double *vals, value off, const double *wts,
+                          double *out, long m, long dims, long w)
 {
+  long span = dims * w, nz = nplanes(dims, w);
   for (long j = 0; j < m; j++) {
     double vr = vals[2 * j], vi = vals[2 * j + 1];
-    long base = j * p;
-    for (long i = 0; i < p; i++) {
-      long k = IDX(idx, base + i);
-      double w = wgt[base + i];
-      out[2 * k] += w * vr;
-      out[2 * k + 1] += w * vi;
+    long bx = j * span, by = bx + w, bz = by + w;
+    for (long iz = 0; iz < nz; iz++) {
+      long plane = dims == 3 ? IDX(off, bz + iz) : 0;
+      double wz = dims == 3 ? wts[bz + iz] : 1.0;
+      for (long iy = 0; iy < w; iy++) {
+        long row = plane + IDX(off, by + iy);
+        double wr = wz * wts[by + iy];
+        for (long ix = 0; ix < w; ix++) {
+          long k = row + IDX(off, bx + ix);
+          double wt = wr * wts[bx + ix];
+          out[2 * k] += wt * vr;
+          out[2 * k + 1] += wt * vi;
+        }
+      }
     }
   }
 }
 
 #ifdef JIGSAW_SIMD_X86
+/* Per sample the x weights are fanned out once into (wx0,wx0,wx1,wx1)
+ * pairs, so an entry pair's two complex products cost two 256-bit
+ * multiplies: (wx * wr) * (vr,vi,vr,vi), the scalar per-lane order. A
+ * row whose x cells are contiguous (every row except at the wrap seam)
+ * is then two cells per 256-bit read-modify-write; a seam row updates
+ * cell by cell in entry order. */
 __attribute__((target("avx2"))) static void
-spread_avx2(const double *vals, value idx, const double *wgt, double *out,
-            long m, long p)
+spread_avx2(const double *vals, value off, const double *wts, double *out,
+            long m, long dims, long w)
 {
+  if (w > MAX_W) {
+    spread_scalar(vals, off, wts, out, m, dims, w);
+    return;
+  }
+  long span = dims * w, nz = nplanes(dims, w), pairs = w / 2;
+  __m256d wxx[MAX_W / 2];
+  long kx[MAX_W];
   for (long j = 0; j < m; j++) {
-    __m128d v = _mm_loadu_pd(vals + 2 * j); /* (vr, vi) */
+    __m128d v = _mm_loadu_pd(vals + 2 * j);
     __m256d vv = _mm256_broadcast_pd((const __m128d *)(vals + 2 * j));
-    long base = j * p;
-    long i = 0;
-    /* Four window points per iteration: one 256-bit weight load fanned
-     * out to (w0,w0,w1,w1) / (w2,w2,w3,w3) by in-register permutes, two
-     * 256-bit multiplies, then four 128-bit read-modify-writes in entry
-     * order (within one sample all window cells are distinct, so each
-     * cell still accumulates exactly once per pass, in scalar order). */
-    for (; i + 4 <= p; i += 4) {
-      long k0 = IDX(idx, base + i);
-      long k1 = IDX(idx, base + i + 1);
-      long k2 = IDX(idx, base + i + 2);
-      long k3 = IDX(idx, base + i + 3);
-      __m256d w = _mm256_loadu_pd(wgt + base + i); /* (w0,w1,w2,w3) */
-      __m256d wl = _mm256_permute4x64_pd(w, 0x50); /* (w0,w0,w1,w1) */
-      __m256d wh = _mm256_permute4x64_pd(w, 0xfa); /* (w2,w2,w3,w3) */
-      __m256d t0 = _mm256_mul_pd(wl, vv);
-      __m256d t1 = _mm256_mul_pd(wh, vv);
-      if (k1 == k0 + 1 && k2 == k1 + 1 && k3 == k2 + 1) {
-        /* Window x-rows are grid-contiguous except at the wrap seam, so
-         * most quads land on four consecutive cells: two 256-bit
-         * read-modify-writes perform the identical per-lane adds. */
-        _mm256_storeu_pd(out + 2 * k0,
-                         _mm256_add_pd(_mm256_loadu_pd(out + 2 * k0), t0));
-        _mm256_storeu_pd(out + 2 * k2,
-                         _mm256_add_pd(_mm256_loadu_pd(out + 2 * k2), t1));
-      } else {
-        /* A quad that straddles a window-row boundary still splits into
-         * two within-row pairs; keep each contiguous pair as one 256-bit
-         * read-modify-write and only degrade to 128-bit at a wrap seam. */
-        if (k1 == k0 + 1)
-          _mm256_storeu_pd(out + 2 * k0,
-                           _mm256_add_pd(_mm256_loadu_pd(out + 2 * k0), t0));
-        else {
-          _mm_storeu_pd(out + 2 * k0,
-                        _mm_add_pd(_mm_loadu_pd(out + 2 * k0),
-                                   _mm256_castpd256_pd128(t0)));
-          _mm_storeu_pd(out + 2 * k1,
-                        _mm_add_pd(_mm_loadu_pd(out + 2 * k1),
-                                   _mm256_extractf128_pd(t0, 1)));
-        }
-        if (k3 == k2 + 1)
-          _mm256_storeu_pd(out + 2 * k2,
-                           _mm256_add_pd(_mm256_loadu_pd(out + 2 * k2), t1));
-        else {
-          _mm_storeu_pd(out + 2 * k2,
-                        _mm_add_pd(_mm_loadu_pd(out + 2 * k2),
-                                   _mm256_castpd256_pd128(t1)));
-          _mm_storeu_pd(out + 2 * k3,
-                        _mm_add_pd(_mm_loadu_pd(out + 2 * k3),
-                                   _mm256_extractf128_pd(t1, 1)));
+    long bx = j * span, by = bx + w, bz = by + w;
+    const double *wx = wts + bx;
+    for (long p = 0; p < pairs; p++)
+      wxx[p] = _mm256_permute4x64_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(wx + 2 * p)), 0x50);
+    for (long ix = 0; ix < w; ix++) kx[ix] = IDX(off, bx + ix);
+    int contiguous = kx[w - 1] - kx[0] == w - 1;
+    for (long iz = 0; iz < nz; iz++) {
+      long plane = dims == 3 ? IDX(off, bz + iz) : 0;
+      double wz = dims == 3 ? wts[bz + iz] : 1.0;
+      for (long iy = 0; iy < w; iy++) {
+        long row = plane + IDX(off, by + iy);
+        double wr = wz * wts[by + iy];
+        if (contiguous) {
+          __m256d wr4 = _mm256_set1_pd(wr);
+          double *o = out + 2 * (row + kx[0]);
+          for (long p = 0; p < pairs; p++) {
+            __m256d t = _mm256_mul_pd(_mm256_mul_pd(wxx[p], wr4), vv);
+            _mm256_storeu_pd(o + 4 * p,
+                             _mm256_add_pd(_mm256_loadu_pd(o + 4 * p), t));
+          }
+          if (w & 1) {
+            __m128d t = _mm_mul_pd(
+                _mm_mul_pd(_mm_set1_pd(wx[w - 1]), _mm_set1_pd(wr)), v);
+            double *c = o + 2 * (w - 1);
+            _mm_storeu_pd(c, _mm_add_pd(_mm_loadu_pd(c), t));
+          }
+        } else {
+          __m128d wr2 = _mm_set1_pd(wr);
+          for (long ix = 0; ix < w; ix++) {
+            __m128d t = _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(wx[ix]), wr2), v);
+            double *c = out + 2 * (row + kx[ix]);
+            _mm_storeu_pd(c, _mm_add_pd(_mm_loadu_pd(c), t));
+          }
         }
       }
-    }
-    for (; i < p; i++) {
-      long k = IDX(idx, base + i);
-      __m128d w = _mm_loaddup_pd(wgt + base + i);
-      _mm_storeu_pd(out + 2 * k,
-                    _mm_add_pd(_mm_loadu_pd(out + 2 * k), _mm_mul_pd(w, v)));
     }
   }
 }
 #endif
 
 #ifdef JIGSAW_SIMD_NEON
-static void spread_neon(const double *vals, value idx, const double *wgt,
-                        double *out, long m, long p)
+static void spread_neon(const double *vals, value off, const double *wts,
+                        double *out, long m, long dims, long w)
 {
+  long span = dims * w, nz = nplanes(dims, w);
   for (long j = 0; j < m; j++) {
     float64x2_t v = vld1q_f64(vals + 2 * j);
-    long base = j * p;
-    for (long i = 0; i < p; i++) {
-      long k = IDX(idx, base + i);
-      float64x2_t w = vdupq_n_f64(wgt[base + i]);
-      vst1q_f64(out + 2 * k,
-                vaddq_f64(vld1q_f64(out + 2 * k), vmulq_f64(w, v)));
+    long bx = j * span, by = bx + w, bz = by + w;
+    for (long iz = 0; iz < nz; iz++) {
+      long plane = dims == 3 ? IDX(off, bz + iz) : 0;
+      double wz = dims == 3 ? wts[bz + iz] : 1.0;
+      for (long iy = 0; iy < w; iy++) {
+        long row = plane + IDX(off, by + iy);
+        double wr = wz * wts[by + iy];
+        for (long ix = 0; ix < w; ix++) {
+          double *c = out + 2 * (row + IDX(off, bx + ix));
+          float64x2_t t = vmulq_f64(vdupq_n_f64(wr * wts[bx + ix]), v);
+          vst1q_f64(c, vaddq_f64(vld1q_f64(c), t));
+        }
+      }
     }
   }
 }
 #endif
 
-CAMLprim value jigsaw_simd_spread(value values, value idx, value wgt,
-                                  value out)
+CAMLprim value jigsaw_simd_spread(value values, value off, value wts,
+                                  value dims, value out)
 {
   long m = (long)Caml_ba_array_val(values)->dim[0] / 2;
+  long d = Long_val(dims);
   if (m == 0) return Val_unit;
-  long p = (long)Wosize_val(idx) / m;
+  long w = (long)Wosize_val(off) / (m * d);
+  if (w == 0) return Val_unit;
   const double *vals = (const double *)Caml_ba_data_val(values);
   double *o = (double *)Caml_ba_data_val(out);
   switch (jigsaw_simd_impl) {
 #ifdef JIGSAW_SIMD_X86
-  case IMPL_AVX2: spread_avx2(vals, idx, FLOATS(wgt), o, m, p); break;
+  case IMPL_AVX2: spread_avx2(vals, off, FLOATS(wts), o, m, d, w); break;
 #endif
 #ifdef JIGSAW_SIMD_NEON
-  case IMPL_NEON: spread_neon(vals, idx, FLOATS(wgt), o, m, p); break;
+  case IMPL_NEON: spread_neon(vals, off, FLOATS(wts), o, m, d, w); break;
 #endif
-  default: spread_scalar(vals, idx, FLOATS(wgt), o, m, p); break;
+  default: spread_scalar(vals, off, FLOATS(wts), o, m, d, w); break;
   }
   return Val_unit;
 }
@@ -267,21 +298,32 @@ CAMLprim value jigsaw_simd_spread_shard(value values, value smp, value idx,
 }
 
 /* ------------------------------------------------------------------ */
-/* Replay gather over the sample range [lo, hi):
- * out[j] = sum_i wgt[j*p+i] * grid[idx[j*p+i]], accumulated in entry
- * order from (0, 0) exactly like the scalar loop. */
+/* Replay gather over the sample range [lo, hi): out[j] is the sum of
+ * weight * grid[cell] over sample j's entries, accumulated in entry
+ * order from (0, 0) exactly like the OCaml loop. The products of an
+ * entry pair may be formed in one register, but the adds into the
+ * (re, im) accumulator stay one entry at a time. */
 
-static void gather_scalar(const double *grid, value idx, const double *wgt,
-                          double *out, long p, long lo, long hi)
+static void gather_scalar(const double *grid, value off, const double *wts,
+                          double *out, long dims, long w, long lo, long hi)
 {
+  long span = dims * w, nz = nplanes(dims, w);
   for (long j = lo; j < hi; j++) {
-    long base = j * p;
+    long bx = j * span, by = bx + w, bz = by + w;
     double ar = 0.0, ai = 0.0;
-    for (long i = 0; i < p; i++) {
-      long k = IDX(idx, base + i);
-      double w = wgt[base + i];
-      ar += w * grid[2 * k];
-      ai += w * grid[2 * k + 1];
+    for (long iz = 0; iz < nz; iz++) {
+      long plane = dims == 3 ? IDX(off, bz + iz) : 0;
+      double wz = dims == 3 ? wts[bz + iz] : 1.0;
+      for (long iy = 0; iy < w; iy++) {
+        long row = plane + IDX(off, by + iy);
+        double wr = wz * wts[by + iy];
+        for (long ix = 0; ix < w; ix++) {
+          long k = row + IDX(off, bx + ix);
+          double wt = wr * wts[bx + ix];
+          ar += wt * grid[2 * k];
+          ai += wt * grid[2 * k + 1];
+        }
+      }
     }
     out[2 * j] = ar;
     out[2 * j + 1] = ai;
@@ -290,16 +332,53 @@ static void gather_scalar(const double *grid, value idx, const double *wgt,
 
 #ifdef JIGSAW_SIMD_X86
 __attribute__((target("avx2"))) static void
-gather_avx2(const double *grid, value idx, const double *wgt, double *out,
-            long p, long lo, long hi)
+gather_avx2(const double *grid, value off, const double *wts, double *out,
+            long dims, long w, long lo, long hi)
 {
+  if (w > MAX_W) {
+    gather_scalar(grid, off, wts, out, dims, w, lo, hi);
+    return;
+  }
+  long span = dims * w, nz = nplanes(dims, w), pairs = w / 2;
+  __m256d wxx[MAX_W / 2];
+  long kx[MAX_W];
   for (long j = lo; j < hi; j++) {
-    long base = j * p;
+    long bx = j * span, by = bx + w, bz = by + w;
+    const double *wx = wts + bx;
+    for (long p = 0; p < pairs; p++)
+      wxx[p] = _mm256_permute4x64_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(wx + 2 * p)), 0x50);
+    for (long ix = 0; ix < w; ix++) kx[ix] = IDX(off, bx + ix);
+    int contiguous = kx[w - 1] - kx[0] == w - 1;
     __m128d acc = _mm_setzero_pd();
-    for (long i = 0; i < p; i++) {
-      long k = IDX(idx, base + i);
-      __m128d w = _mm_loaddup_pd(wgt + base + i);
-      acc = _mm_add_pd(acc, _mm_mul_pd(w, _mm_loadu_pd(grid + 2 * k)));
+    for (long iz = 0; iz < nz; iz++) {
+      long plane = dims == 3 ? IDX(off, bz + iz) : 0;
+      double wz = dims == 3 ? wts[bz + iz] : 1.0;
+      for (long iy = 0; iy < w; iy++) {
+        long row = plane + IDX(off, by + iy);
+        double wr = wz * wts[by + iy];
+        if (contiguous) {
+          __m256d wr4 = _mm256_set1_pd(wr);
+          const double *gp = grid + 2 * (row + kx[0]);
+          for (long p = 0; p < pairs; p++) {
+            __m256d t = _mm256_mul_pd(_mm256_mul_pd(wxx[p], wr4),
+                                      _mm256_loadu_pd(gp + 4 * p));
+            acc = _mm_add_pd(acc, _mm256_castpd256_pd128(t));
+            acc = _mm_add_pd(acc, _mm256_extractf128_pd(t, 1));
+          }
+          if (w & 1)
+            acc = _mm_add_pd(
+                acc, _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(wx[w - 1]),
+                                           _mm_set1_pd(wr)),
+                                _mm_loadu_pd(gp + 2 * (w - 1))));
+        } else {
+          __m128d wr2 = _mm_set1_pd(wr);
+          for (long ix = 0; ix < w; ix++)
+            acc = _mm_add_pd(
+                acc, _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(wx[ix]), wr2),
+                                _mm_loadu_pd(grid + 2 * (row + kx[ix]))));
+        }
+      }
     }
     _mm_storeu_pd(out + 2 * j, acc);
   }
@@ -307,39 +386,50 @@ gather_avx2(const double *grid, value idx, const double *wgt, double *out,
 #endif
 
 #ifdef JIGSAW_SIMD_NEON
-static void gather_neon(const double *grid, value idx, const double *wgt,
-                        double *out, long p, long lo, long hi)
+static void gather_neon(const double *grid, value off, const double *wts,
+                        double *out, long dims, long w, long lo, long hi)
 {
+  long span = dims * w, nz = nplanes(dims, w);
   for (long j = lo; j < hi; j++) {
-    long base = j * p;
+    long bx = j * span, by = bx + w, bz = by + w;
     float64x2_t acc = vdupq_n_f64(0.0);
-    for (long i = 0; i < p; i++) {
-      long k = IDX(idx, base + i);
-      float64x2_t w = vdupq_n_f64(wgt[base + i]);
-      acc = vaddq_f64(acc, vmulq_f64(w, vld1q_f64(grid + 2 * k)));
+    for (long iz = 0; iz < nz; iz++) {
+      long plane = dims == 3 ? IDX(off, bz + iz) : 0;
+      double wz = dims == 3 ? wts[bz + iz] : 1.0;
+      for (long iy = 0; iy < w; iy++) {
+        long row = plane + IDX(off, by + iy);
+        double wr = wz * wts[by + iy];
+        for (long ix = 0; ix < w; ix++) {
+          const double *c = grid + 2 * (row + IDX(off, bx + ix));
+          float64x2_t wt = vdupq_n_f64(wr * wts[bx + ix]);
+          acc = vaddq_f64(acc, vmulq_f64(wt, vld1q_f64(c)));
+        }
+      }
     }
     vst1q_f64(out + 2 * j, acc);
   }
 }
 #endif
 
-CAMLprim value jigsaw_simd_gather(value grid, value idx, value wgt, value out,
-                                  value lo, value hi)
+CAMLprim value jigsaw_simd_gather(value grid, value off, value wts,
+                                  value dims, value out, value lo, value hi)
 {
   long m = (long)Caml_ba_array_val(out)->dim[0] / 2;
+  long d = Long_val(dims);
   if (m == 0) return Val_unit;
-  long p = (long)Wosize_val(idx) / m;
+  long w = (long)Wosize_val(off) / (m * d);
+  if (w == 0) return Val_unit;
   const double *g = (const double *)Caml_ba_data_val(grid);
   double *o = (double *)Caml_ba_data_val(out);
   long l = Long_val(lo), h = Long_val(hi);
   switch (jigsaw_simd_impl) {
 #ifdef JIGSAW_SIMD_X86
-  case IMPL_AVX2: gather_avx2(g, idx, FLOATS(wgt), o, p, l, h); break;
+  case IMPL_AVX2: gather_avx2(g, off, FLOATS(wts), o, d, w, l, h); break;
 #endif
 #ifdef JIGSAW_SIMD_NEON
-  case IMPL_NEON: gather_neon(g, idx, FLOATS(wgt), o, p, l, h); break;
+  case IMPL_NEON: gather_neon(g, off, FLOATS(wts), o, d, w, l, h); break;
 #endif
-  default: gather_scalar(g, idx, FLOATS(wgt), o, p, l, h); break;
+  default: gather_scalar(g, off, FLOATS(wts), o, d, w, l, h); break;
   }
   return Val_unit;
 }
@@ -348,7 +438,7 @@ CAMLprim value jigsaw_simd_gather_bc(value *argv, int argn)
 {
   (void)argn;
   return jigsaw_simd_gather(argv[0], argv[1], argv[2], argv[3], argv[4],
-                            argv[5]);
+                            argv[5], argv[6]);
 }
 
 /* ------------------------------------------------------------------ */

@@ -499,7 +499,36 @@ let test_sample_validation () =
         (Sample.make_2d ~g:64 ~gx:[| 0.0; 64.0 |] ~gy:[| 1.0; 2.0 |] ~values));
   let s = Sample.random_2d ~seed:8 ~g:32 500 in
   Sample.validate s;
-  Alcotest.(check int) "length" 500 (Sample.length s)
+  Alcotest.(check int) "length" 500 (Sample.length s);
+  (* A NaN or infinite omega on any axis is rejected, naming the sample
+     and axis, by every omega constructor. *)
+  let build name dims omega =
+    match dims with
+    | 2 when name = "Sample.of_omega_2d" ->
+        Sample.of_omega_2d ~g:64 ~omega_x:omega.(0) ~omega_y:omega.(1) ~values
+    | 3 ->
+        Sample.of_omega_3d ~g:64 ~omega_x:omega.(0) ~omega_y:omega.(1)
+          ~omega_z:omega.(2) ~values
+    | _ -> Sample.of_omega ~g:64 ~omega ~values
+  in
+  List.iter
+    (fun (name, dims) ->
+      for axis = 0 to dims - 1 do
+        List.iter
+          (fun bad ->
+            let omega = Array.init dims (fun _ -> [| 0.5; -1.0 |]) in
+            omega.(axis).(1) <- bad;
+            Alcotest.check_raises
+              (Printf.sprintf "%s: omega %g on axis %d" name bad axis)
+              (Invalid_argument
+                 (Printf.sprintf
+                    "%s: non-finite omega %g at sample 1 (axis %d)" name bad
+                    axis))
+              (fun () -> ignore (build name dims omega)))
+          [ Float.nan; Float.infinity; Float.neg_infinity ]
+      done)
+    [ ("Sample.of_omega", 2); ("Sample.of_omega_2d", 2);
+      ("Sample.of_omega_3d", 3) ]
 
 (* ------------------------------------------------------------------ *)
 (* NuDFT *)

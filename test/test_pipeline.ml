@@ -615,6 +615,33 @@ let test_auto_backend () =
       check_bitwise (label ^ ": repeat auto") auto.Svc.image again.Svc.image)
     [ (Simd.Off, "serial"); (Simd.available, "replay-simd") ]
 
+(* Image 4 at full M (n = 320, 500,016 samples): its factored plan
+   (~96 MB) fits the default 256 MiB cache budget, so a repeat request is
+   a hit and nothing is evicted. *)
+let test_image4_resident () =
+  let d = Trajectory.Dataset.by_name "Image 4" in
+  let n = d.Trajectory.Dataset.n in
+  let coords = Imaging.Recon.coords_of_traj ~g:(2 * n) (d.trajectory ()) in
+  Alcotest.(check int) "full M" d.m (Sample.length coords);
+  let svc = Svc.create () in
+  let req =
+    { Svc.backend = "serial";
+      transform = Nufft.Transform.Type1;
+      n;
+      coords;
+      values = values_for coords;
+      density = None;
+      method_ = Svc.Adjoint;
+      tol = None;
+      family = None }
+  in
+  let first = sok (Svc.submit svc req) in
+  let again = sok (Svc.submit svc req) in
+  let st = Cache.stats (Svc.cache svc) in
+  Alcotest.(check int) "second submit is a cache hit" 1 st.Cache.hits;
+  Alcotest.(check int) "no evictions" 0 st.Cache.evictions;
+  check_bitwise "repeat image" first.Svc.image again.Svc.image
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -647,5 +674,7 @@ let () =
             test_batch_overlap;
           Alcotest.test_case "geometry defaults from the plan" `Quick
             test_geometry_defaults;
-          Alcotest.test_case "auto backend rule" `Quick test_auto_backend ] )
+          Alcotest.test_case "auto backend rule" `Quick test_auto_backend;
+          Alcotest.test_case "Image 4 at full M stays resident" `Quick
+            test_image4_resident ] )
     ]

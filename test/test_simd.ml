@@ -75,13 +75,13 @@ let test_empty_streams () =
           if Simd.enabled () then begin
             let nm = Simd.impl_name impl in
             let out = Cvec.create 4 in
-            Simd.spread (Cvec.create 0) [||] [||] out;
+            Simd.spread (Cvec.create 0) [||] [||] 2 out;
             Simd.spread_shard (Cvec.create 0) [||] [||] [||] out;
             Simd.deapod_row out 0 out 0 [||] 0 0 1.0 1.0;
             check_cvec_ulp (nm ^ " empty spread/shard/deapod")
               (Cvec.create 4) out;
             let acc = Cvec.create 0 in
-            Simd.gather (Cvec.create 4) [||] [||] acc 0 0
+            Simd.gather (Cvec.create 4) [||] [||] 2 acc 0 0
           end))
     impls
 
@@ -277,7 +277,7 @@ let test_adjoint_end_to_end () =
               check_cvec_ulp
                 (Printf.sprintf "%dd adjoint %s" dims (Simd.impl_name impl))
                 reference
-                (Plan.adjoint_compiled ~simd:true plan s)))
+                (Plan.adjoint_compiled plan s)))
         impls)
     [ 2; 3 ]
 
