@@ -21,9 +21,24 @@ type plan = {
   pool : Runtime.Pool.t option;
   simd : bool;
   mutable cache : cached option;
+  slot : Cvec.t Atomic.t;
 }
 
 module W = Numerics.Window
+
+(* The plan's reusable transform grid. A transform takes it with one
+   atomic exchange, leaving the empty grid behind, and puts it back when
+   it ends; a transform that finds the slot empty (another domain holds
+   the grid) or holding a grid of the other dimensionality allocates a
+   fresh one, as every transform did before. The grid is dirty: every
+   taker overwrites it completely. *)
+let empty_grid = Cvec.create 0
+
+let take_grid plan len =
+  let grid = Atomic.exchange plan.slot empty_grid in
+  if Cvec.length grid = len then grid else Cvec.create len
+
+let release_grid plan grid = Atomic.set plan.slot grid
 
 (* Geometry resolution shared with {!Operator.context} so an operator
    context and the plan it builds always agree on (kernel, w, l). With
@@ -78,7 +93,7 @@ let make ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?(engine = Gridding.Serial)
   Telemetry.span_end sp_deapod;
   Telemetry.span_end sp;
   { n; sigma; g; w; l; tol; kernel; table; deapod; engine; pool; simd = true;
-    cache = None }
+    cache = None; slot = Atomic.make empty_grid }
 
 (* The adjoint evaluates x_n = (1 / psi_hat(n/G)) * B[n mod G] where
    B = unnormalised inverse-convention DFT of the spread grid; see the
@@ -113,11 +128,12 @@ let crop_deapodize_2d_into plan big image =
       ~src:big ~src_off:row ~f:deapod ~f_off:h ~len:(n - h) ~fy:dy ~fz:1.0
   done
 
-let pad_apodize_2d plan image =
+(* Writes every point of [big] whose coordinates all lie in the kept
+   set; the caller zeroes the rest. *)
+let pad_apodize_2d_into plan image big =
   let n = plan.n and g = plan.g in
   if Cvec.length image <> n * n then
     invalid_arg "Plan: image size mismatch";
-  let big = Cvec.create (g * g) in
   let deapod = plan.deapod in
   let h = n / 2 in
   for iy = 0 to n - 1 do
@@ -128,7 +144,11 @@ let pad_apodize_2d plan image =
     Apodization.scale_row_into ~dst:big ~dst_off:row ~src:image
       ~src_off:((iy * n) + h)
       ~f:deapod ~f_off:h ~len:(n - h) ~fy:dy ~fz:1.0
-  done;
+  done
+
+let pad_apodize_2d plan image =
+  let big = Cvec.create (plan.g * plan.g) in
+  pad_apodize_2d_into plan image big;
   big
 
 let crop_deapodize_3d_into plan big volume =
@@ -153,11 +173,10 @@ let crop_deapodize_3d_into plan big volume =
     done
   done
 
-let pad_apodize_3d plan volume =
+let pad_apodize_3d_into plan volume big =
   let n = plan.n and g = plan.g in
   if Cvec.length volume <> n * n * n then
     invalid_arg "Plan.forward_3d: volume size mismatch";
-  let big = Cvec.create (g * g * g) in
   let deapod = plan.deapod in
   let h = n / 2 in
   for iz = 0 to n - 1 do
@@ -172,8 +191,7 @@ let pad_apodize_3d plan volume =
       Apodization.scale_row_into ~dst:big ~dst_off:row ~src:volume
         ~src_off:(src + h) ~f:deapod ~f_off:h ~len:(n - h) ~fy:dy ~fz:dz
     done
-  done;
-  big
+  done
 
 let check_samples plan (s : Sample.t) =
   if s.Sample.g <> plan.g then
@@ -220,18 +238,14 @@ let image_dims plan image =
       (Printf.sprintf "Plan: image length %d is neither n^2 nor n^3 (n = %d)"
          len n)
 
-let grid_to_image ?timings ?pool ?scratch plan ~spread image =
-  let g = plan.g in
+let grid_to_image ?timings ?pool plan ~spread image =
+  let g = plan.g and n = plan.n in
   let pool = match pool with Some _ -> pool | None -> plan.pool in
   let dims = image_dims plan image in
   let t0 = clock timings in
   let grid = spread () in
   let t1 = clock timings in
-  if dims = 2 then
-    Fft.Fftnd.transform_2d ?pool ?scratch Fft.Dft.Inverse ~nx:g ~ny:g grid
-  else
-    Fft.Fftnd.transform_3d ?pool ?scratch Fft.Dft.Inverse ~nx:g ~ny:g ~nz:g
-      grid;
+  Fft.Fftnd.transform_cropped ?pool Fft.Dft.Inverse ~dims ~g ~n grid;
   let t2 = clock timings in
   if dims = 2 then crop_deapodize_2d_into plan grid image
   else crop_deapodize_3d_into plan grid image;
@@ -243,19 +257,19 @@ let grid_to_image ?timings ?pool ?scratch plan ~spread image =
       t.fft_s <- t.fft_s +. seconds (t2 - t1);
       t.deapod_s <- t.deapod_s +. seconds (t3 - t2)
 
-let image_to_grid plan image =
-  let g = plan.g in
-  if image_dims plan image = 2 then begin
-    let big = pad_apodize_2d plan image in
-    Fft.Fftnd.transform_2d ?pool:plan.pool Fft.Dft.Forward ~nx:g ~ny:g big;
-    big
-  end
-  else begin
-    let big = pad_apodize_3d plan image in
-    Fft.Fftnd.transform_3d ?pool:plan.pool Fft.Dft.Forward ~nx:g ~ny:g ~nz:g
-      big;
-    big
-  end
+let image_to_grid plan image k =
+  let g = plan.g and n = plan.n in
+  let dims = image_dims plan image in
+  let big = take_grid plan (pow g dims) in
+  Cvec.fill_zero big;
+  if dims = 2 then pad_apodize_2d_into plan image big
+  else pad_apodize_3d_into plan image big;
+  Fft.Fftnd.transform_padded ?pool:plan.pool Fft.Dft.Forward ~dims ~g ~n big;
+  let r = k big in
+  release_grid plan big;
+  r
+
+let grid_bytes plan ~dims = 16 * pow plan.g dims
 
 let check_forward plan (coords : Sample.t) image =
   check_samples plan coords;
@@ -286,13 +300,14 @@ let adjoint ?stats ?timings plan samples =
 
 let forward ?stats plan ~coords image =
   check_forward plan coords image;
-  let big = image_to_grid plan image in
   let g = plan.g and table = plan.table in
   let gx = Sample.gx coords and gy = Sample.gy coords in
-  if Sample.dims coords = 2 then
-    Gridding.interp_2d ?stats ~table ~g ~gx ~gy big
-  else
-    Gridding3d.interp_3d ?stats ~table ~g ~gx ~gy ~gz:(Sample.gz coords) big
+  image_to_grid plan image (fun big ->
+      if Sample.dims coords = 2 then
+        Gridding.interp_2d ?stats ~table ~g ~gx ~gy big
+      else
+        Gridding3d.interp_3d ?stats ~table ~g ~gx ~gy ~gz:(Sample.gz coords)
+          big)
 
 (* Compiled sample plans: one (engine x bound coordinates) decomposition,
    replayed by every subsequent transform. The cache key is the physical
@@ -359,28 +374,28 @@ let adjoint_compiled ?stats ?timings ?pool plan samples =
   let rpool = replay_pool ?pool plan in
   check_samples plan samples;
   let image = image_for plan samples in
+  let grid = take_grid plan (pow plan.g (Sample.dims samples)) in
   grid_to_image ?timings plan image ~spread:(fun () ->
       let sp = compiled ?stats plan samples in
       let span = Gridding_stats.grid_span "grid.compiled-spread" in
-      let grid =
-        Sample_plan.spread_parallel ?stats ?pool:rpool ~simd:plan.simd sp
-          samples.Sample.values
-      in
+      Sample_plan.spread_parallel_into ?stats ?pool:rpool ~simd:plan.simd sp
+        samples.Sample.values grid;
       Gridding_stats.end_span span;
       grid);
+  release_grid plan grid;
   image
 
 let forward_compiled ?stats ?pool plan ~coords image =
   let rpool = replay_pool ?pool plan in
   let sp = compiled ?stats plan coords in
   check_forward plan coords image;
-  let big = image_to_grid plan image in
-  let span = Gridding_stats.grid_span "grid.compiled-gather" in
-  let out =
-    Sample_plan.gather_parallel ?stats ?pool:rpool ~simd:plan.simd sp big
-  in
-  Gridding_stats.end_span span;
-  out
+  image_to_grid plan image (fun big ->
+      let span = Gridding_stats.grid_span "grid.compiled-gather" in
+      let out =
+        Sample_plan.gather_parallel ?stats ?pool:rpool ~simd:plan.simd sp big
+      in
+      Gridding_stats.end_span span;
+      out)
 
 (* {2 Type-3: nonuniform-to-nonuniform}
 

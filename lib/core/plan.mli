@@ -44,6 +44,9 @@ type plan = private {
   mutable cache : cached option;
       (** most recently compiled sample plan, keyed on the physical
           identity of the bound coordinate arrays *)
+  slot : Numerics.Cvec.t Atomic.t;
+      (** the plan's one reusable [g^dims] transform grid (see
+          {!grid_bytes}); empty while a transform holds it *)
 }
 
 val make :
@@ -136,7 +139,6 @@ val gridding_fraction : timings -> float
 val grid_to_image :
   ?timings:timings ->
   ?pool:Runtime.Pool.t ->
-  ?scratch:Numerics.Cvec.t ->
   plan ->
   spread:(unit -> Numerics.Cvec.t) ->
   Numerics.Cvec.t ->
@@ -144,17 +146,28 @@ val grid_to_image :
 (** [grid_to_image plan ~spread image] — the adjoint's stages:
     [spread ()] produces the oversampled [g^dims] grid (by any means: a
     gridding engine, compiled replay, a hardware model's readout), which
-    is inverse-FFT'd in place on [pool] (default: the plan's pool) with
-    the optional FFT line [scratch], then cropped and de-apodized into
-    the caller's [image]. The dimensionality follows from the image
-    length ([n^2] or [n^3]); every element of [image] is overwritten.
-    With [timings], the three stage times are added to it. *)
+    is inverse-FFT'd in place on [pool] (default: the plan's pool), then
+    cropped and de-apodized into the caller's [image]. The FFT is
+    {!Fft.Fftnd.transform_cropped}: its last passes transform only the
+    lines the crop reads, so the grid is left holding partial results
+    elsewhere. The dimensionality follows from the image length ([n^2]
+    or [n^3]); every element of [image] is overwritten. With [timings],
+    the three stage times are added to it. *)
 
-val image_to_grid : plan -> Numerics.Cvec.t -> Numerics.Cvec.t
-(** [image_to_grid plan image] — the forward's head: embed the centred
+val image_to_grid : plan -> Numerics.Cvec.t -> (Numerics.Cvec.t -> 'a) -> 'a
+(** [image_to_grid plan image k] — the forward's head: embed the centred
     [n^2] image or [n^3] volume into a zero-padded, apodization-divided
-    [g^dims] grid and forward-FFT it on the plan's pool. The result is
-    ready for interpolation at the sample locations. *)
+    [g^dims] grid, forward-FFT it on the plan's pool
+    ({!Fft.Fftnd.transform_padded}: the all-zero padding lines are
+    skipped) and return [k grid]. The grid is the plan's reusable slot
+    (a fresh one when another transform holds it) and is valid only
+    inside [k]. *)
+
+val grid_bytes : plan -> dims:int -> int
+(** Bytes of the plan's reusable [g^dims] transform grid: each plan
+    keeps at most one, taken by {!adjoint_compiled},
+    {!forward_compiled}, {!forward} and {!image_to_grid} for the length
+    of one transform; the serving plan cache counts it in its budget. *)
 
 val adjoint :
   ?stats:Gridding_stats.t ->

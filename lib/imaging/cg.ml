@@ -1,5 +1,6 @@
 module Cvec = Numerics.Cvec
 module C = Numerics.Complexd
+module A1 = Bigarray.Array1
 
 type result = {
   solution : Cvec.t;
@@ -84,9 +85,16 @@ let weighted ?weights name samples =
       let m = Nufft.Sample.length samples in
       if Array.length w <> m then
         invalid_arg (name ^ ": weights length mismatch");
-      Nufft.Sample.with_values samples
-        (Cvec.init m (fun j ->
-             C.scale w.(j) (Cvec.get samples.Nufft.Sample.values j)))
+      (* The products of [C.scale] (w*re, w*im), written without a
+         complex record per sample. *)
+      let v = samples.Nufft.Sample.values in
+      let out = Cvec.create m in
+      for j = 0 to m - 1 do
+        let s = Array.unsafe_get w j in
+        A1.unsafe_set out (2 * j) (s *. A1.unsafe_get v (2 * j));
+        A1.unsafe_set out ((2 * j) + 1) (s *. A1.unsafe_get v ((2 * j) + 1))
+      done;
+      Nufft.Sample.with_values samples out
 
 let normal_equations_rhs_op ?weights op samples =
   Nufft.Operator.apply_adjoint op

@@ -185,14 +185,17 @@ let coord_bytes (s : Sample.t) =
    instead of building again. Pre-compiling the plan's sample-plan here is
    what makes the single-build guarantee observable: it charges
    [sample_plan.cache_miss] exactly once per cache entry, and every
-   subsequent application through the canonical coordinates replays it. *)
+   subsequent application through the canonical coordinates replays it.
+   The entry's bytes also count the grid each plan retains between
+   transforms ({!Plan.grid_bytes}). *)
 let build ~backend (ctx : Op.ctx) =
   let op = Op.create backend ctx in
   let plan_bytes =
     match Op.plan_of op with
     | Some plan when ctx.Op.transform <> Nufft.Transform.Type3 ->
         let splan = Plan.compiled plan ctx.Op.coords in
-        8 * Sample_plan.memory_words splan
+        (8 * Sample_plan.memory_words splan)
+        + Plan.grid_bytes plan ~dims:(Sample.dims ctx.Op.coords)
     | _ ->
         (* Type-3 operators compile their own internal spread + inner
            type-2 plans eagerly in [of_plan]; the bound coordinates are

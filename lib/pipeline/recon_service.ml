@@ -146,8 +146,8 @@ let operator ?tol ?family ?transform t ~backend ~n ~coords =
 (* ------------------------------------------------------------------ *)
 (* Fast direct path: for operators that expose their CPU plan, the
    adjoint runs through the plan's stage function on the pooled arena —
-   replay-spread into the arena grid, in-place FFT with the arena line
-   scratch, de-apodize into the arena image — with arithmetic identical
+   replay-spread into the arena grid, in-place FFT, de-apodize into the
+   arena image — with arithmetic identical
    (operation order and all) to [Recon.reconstruct_op], so results are
    bitwise the same while steady-state allocation stays O(1) minor
    words. *)
@@ -170,7 +170,7 @@ let fast_adjoint ?fft_pool t ~(plan : Plan.plan) ~canonical req =
   let m = Cvec.length req.values in
   let g = plan.Plan.g and n = plan.Plan.n in
   let glen = pow g dims and ilen = pow n dims in
-  Workspace.with_arena t.ws ~grid:glen ~line:g ~image:ilen ~samples:m
+  Workspace.with_arena t.ws ~grid:glen ~line:0 ~image:ilen ~samples:m
   @@ fun a ->
   let vals =
     match req.density with
@@ -186,7 +186,7 @@ let fast_adjoint ?fft_pool t ~(plan : Plan.plan) ~canonical req =
      only the per-shard dispatch. Batch execution passes no pool and
      replays serially — bitwise the same image either way. *)
   let splan = Plan.compiled plan canonical in
-  Plan.grid_to_image ?pool:fft_pool ~scratch:a.Workspace.line plan
+  Plan.grid_to_image ?pool:fft_pool plan
     a.Workspace.image ~spread:(fun () ->
       Sample_plan.spread_parallel_into ?pool:fft_pool ~simd:plan.Plan.simd
         splan vals a.Workspace.grid;

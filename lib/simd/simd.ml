@@ -99,3 +99,17 @@ external deapod_row :
   (float[@unboxed]) ->
   unit = "jigsaw_simd_deapod_row_bc" "jigsaw_simd_deapod_row"
 [@@noalloc]
+
+external copy_lines :
+  Cvec.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  Cvec.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "jigsaw_simd_copy_lines_bc" "jigsaw_simd_copy_lines"
+[@@noalloc]

@@ -110,3 +110,24 @@ external deapod_row :
     [i] in [[0, len)) — the pointwise complex-by-real deapodization
     scale. [fz = 1.0] in 2D preserves the 3D left-associated product
     rounding bit for bit. *)
+
+external copy_lines :
+  Numerics.Cvec.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  Numerics.Cvec.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "jigsaw_simd_copy_lines_bc" "jigsaw_simd_copy_lines"
+[@@noalloc]
+(** [copy_lines src soff sline spoint dst doff dline dpoint count len]:
+    for [b] in [[0, count)) and [j] in [[0, len)),
+    [dst.(doff + b*dline + j*dpoint) <- src.(soff + b*sline + j*spoint)]
+    — the staging copy of {!Fft.Fftnd}'s strided passes. It does no
+    arithmetic, so unlike the kernels above it is exempt from dispatch:
+    callers use it under every implementation, {!Off} included. The
+    ranges must not overlap. *)

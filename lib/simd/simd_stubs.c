@@ -1,8 +1,9 @@
 /* SIMD kernels for the hot flat loops: compiled-plan replay spread and
  * gather over the factored per-axis window layout (indexed
  * scatter/gather multiply-accumulate), radix-2 FFT
- * butterfly lines over interleaved complex data, and deapodization rows
- * (pointwise complex-by-real scale).
+ * butterfly lines over interleaved complex data, deapodization rows
+ * (pointwise complex-by-real scale), and the line staging copy of the
+ * strided FFT passes.
  *
  * Numerics contract: every vector body performs, per output element,
  * exactly the operation sequence of the scalar loop it replaces — the
@@ -96,10 +97,44 @@ CAMLprim value jigsaw_simd_set(value impl)
 
 static inline long nplanes(long dims, long w) { return dims == 3 ? w : 1; }
 
+/* Width specialisation. Every replay body below is an always_inline
+ * function of (dims, w), and each implementation's entry point
+ * instantiates it once per pair the library builds: dims 2 and 3, and
+ * w in [2, 16], the Window.width_for_tolerance range (which holds
+ * default_width = 6 at sigma = 2). There w is a compile-time constant,
+ * so the per-sample weight fan-out and x offsets stay in registers and
+ * the w-trip loops unroll. Any other width runs the same body with w
+ * read at run time. An instance changes no operation and no order, so
+ * it is bit-identical to the generic body. */
+#define INLINE static inline __attribute__((always_inline))
+#define WIDTH_CASE(BODY, D, W) \
+  case W: BODY(D, W); break;
+#define WIDTH_SWITCH(BODY, D, w)                                     \
+  switch (w) {                                                       \
+    WIDTH_CASE(BODY, D, 2) WIDTH_CASE(BODY, D, 3)                    \
+    WIDTH_CASE(BODY, D, 4) WIDTH_CASE(BODY, D, 5)                    \
+    WIDTH_CASE(BODY, D, 6) WIDTH_CASE(BODY, D, 7)                    \
+    WIDTH_CASE(BODY, D, 8) WIDTH_CASE(BODY, D, 9)                    \
+    WIDTH_CASE(BODY, D, 10) WIDTH_CASE(BODY, D, 11)                  \
+    WIDTH_CASE(BODY, D, 12) WIDTH_CASE(BODY, D, 13)                  \
+    WIDTH_CASE(BODY, D, 14) WIDTH_CASE(BODY, D, 15)                  \
+    WIDTH_CASE(BODY, D, 16)                                          \
+  default: BODY(D, w); break;                                        \
+  }
+#define SPECIALISE(BODY, dims, w)                                    \
+  do {                                                               \
+    if ((dims) == 3) {                                               \
+      WIDTH_SWITCH(BODY, 3, w)                                       \
+    } else {                                                         \
+      WIDTH_SWITCH(BODY, 2, w)                                       \
+    }                                                                \
+  } while (0)
+
 /* Replay spread: out[cell] += weight * values[j] for every entry. */
 
-static void spread_scalar(const double *vals, value off, const double *wts,
-                          double *out, long m, long dims, long w)
+INLINE void spread_scalar_body(const double *vals, value off,
+                               const double *wts, double *out, long m,
+                               long dims, long w)
 {
   long span = dims * w, nz = nplanes(dims, w);
   for (long j = 0; j < m; j++) {
@@ -122,6 +157,14 @@ static void spread_scalar(const double *vals, value off, const double *wts,
   }
 }
 
+static void spread_scalar(const double *vals, value off, const double *wts,
+                          double *out, long m, long dims, long w)
+{
+#define BODY(D, W) spread_scalar_body(vals, off, wts, out, m, D, W)
+  SPECIALISE(BODY, dims, w);
+#undef BODY
+}
+
 #ifdef JIGSAW_SIMD_X86
 /* Per sample the x weights are fanned out once into (wx0,wx0,wx1,wx1)
  * pairs, so an entry pair's two complex products cost two 256-bit
@@ -129,36 +172,38 @@ static void spread_scalar(const double *vals, value off, const double *wts,
  * row whose x cells are contiguous (every row except at the wrap seam)
  * is then two cells per 256-bit read-modify-write; a seam row updates
  * cell by cell in entry order. */
-__attribute__((target("avx2"))) static void
-spread_avx2(const double *vals, value off, const double *wts, double *out,
-            long m, long dims, long w)
+#define AVX2 __attribute__((target("avx2")))
+
+INLINE AVX2 void spread_avx2_body(const double *vals, value off,
+                                  const double *wts, double *out, long m,
+                                  long dims, long w)
 {
-  if (w > MAX_W) {
-    spread_scalar(vals, off, wts, out, m, dims, w);
-    return;
-  }
   long span = dims * w, nz = nplanes(dims, w), pairs = w / 2;
-  __m256d wxx[MAX_W / 2];
-  long kx[MAX_W];
+  __m256d wxx[w / 2 + 1];
+  long kx[w];
   for (long j = 0; j < m; j++) {
     __m128d v = _mm_loadu_pd(vals + 2 * j);
     __m256d vv = _mm256_broadcast_pd((const __m128d *)(vals + 2 * j));
     long bx = j * span, by = bx + w, bz = by + w;
     const double *wx = wts + bx;
+#pragma GCC unroll 8
     for (long p = 0; p < pairs; p++)
       wxx[p] = _mm256_permute4x64_pd(
           _mm256_castpd128_pd256(_mm_loadu_pd(wx + 2 * p)), 0x50);
+#pragma GCC unroll 16
     for (long ix = 0; ix < w; ix++) kx[ix] = IDX(off, bx + ix);
     int contiguous = kx[w - 1] - kx[0] == w - 1;
     for (long iz = 0; iz < nz; iz++) {
       long plane = dims == 3 ? IDX(off, bz + iz) : 0;
       double wz = dims == 3 ? wts[bz + iz] : 1.0;
+#pragma GCC unroll 16
       for (long iy = 0; iy < w; iy++) {
         long row = plane + IDX(off, by + iy);
         double wr = wz * wts[by + iy];
         if (contiguous) {
           __m256d wr4 = _mm256_set1_pd(wr);
           double *o = out + 2 * (row + kx[0]);
+#pragma GCC unroll 8
           for (long p = 0; p < pairs; p++) {
             __m256d t = _mm256_mul_pd(_mm256_mul_pd(wxx[p], wr4), vv);
             _mm256_storeu_pd(o + 4 * p,
@@ -182,11 +227,23 @@ spread_avx2(const double *vals, value off, const double *wts, double *out,
     }
   }
 }
+
+static AVX2 void spread_avx2(const double *vals, value off, const double *wts,
+                             double *out, long m, long dims, long w)
+{
+  if (w > MAX_W) {
+    spread_scalar(vals, off, wts, out, m, dims, w);
+    return;
+  }
+#define BODY(D, W) spread_avx2_body(vals, off, wts, out, m, D, W)
+  SPECIALISE(BODY, dims, w);
+#undef BODY
+}
 #endif
 
 #ifdef JIGSAW_SIMD_NEON
-static void spread_neon(const double *vals, value off, const double *wts,
-                        double *out, long m, long dims, long w)
+INLINE void spread_neon_body(const double *vals, value off, const double *wts,
+                             double *out, long m, long dims, long w)
 {
   long span = dims * w, nz = nplanes(dims, w);
   for (long j = 0; j < m; j++) {
@@ -206,6 +263,14 @@ static void spread_neon(const double *vals, value off, const double *wts,
       }
     }
   }
+}
+
+static void spread_neon(const double *vals, value off, const double *wts,
+                        double *out, long m, long dims, long w)
+{
+#define BODY(D, W) spread_neon_body(vals, off, wts, out, m, D, W)
+  SPECIALISE(BODY, dims, w);
+#undef BODY
 }
 #endif
 
@@ -304,8 +369,9 @@ CAMLprim value jigsaw_simd_spread_shard(value values, value smp, value idx,
  * entry pair may be formed in one register, but the adds into the
  * (re, im) accumulator stay one entry at a time. */
 
-static void gather_scalar(const double *grid, value off, const double *wts,
-                          double *out, long dims, long w, long lo, long hi)
+INLINE void gather_scalar_body(const double *grid, value off,
+                               const double *wts, double *out, long dims,
+                               long w, long lo, long hi)
 {
   long span = dims * w, nz = nplanes(dims, w);
   for (long j = lo; j < hi; j++) {
@@ -330,36 +396,44 @@ static void gather_scalar(const double *grid, value off, const double *wts,
   }
 }
 
-#ifdef JIGSAW_SIMD_X86
-__attribute__((target("avx2"))) static void
-gather_avx2(const double *grid, value off, const double *wts, double *out,
-            long dims, long w, long lo, long hi)
+static void gather_scalar(const double *grid, value off, const double *wts,
+                          double *out, long dims, long w, long lo, long hi)
 {
-  if (w > MAX_W) {
-    gather_scalar(grid, off, wts, out, dims, w, lo, hi);
-    return;
-  }
+#define BODY(D, W) gather_scalar_body(grid, off, wts, out, D, W, lo, hi)
+  SPECIALISE(BODY, dims, w);
+#undef BODY
+}
+
+#ifdef JIGSAW_SIMD_X86
+INLINE AVX2 void gather_avx2_body(const double *grid, value off,
+                                  const double *wts, double *out, long dims,
+                                  long w, long lo, long hi)
+{
   long span = dims * w, nz = nplanes(dims, w), pairs = w / 2;
-  __m256d wxx[MAX_W / 2];
-  long kx[MAX_W];
+  __m256d wxx[w / 2 + 1];
+  long kx[w];
   for (long j = lo; j < hi; j++) {
     long bx = j * span, by = bx + w, bz = by + w;
     const double *wx = wts + bx;
+#pragma GCC unroll 8
     for (long p = 0; p < pairs; p++)
       wxx[p] = _mm256_permute4x64_pd(
           _mm256_castpd128_pd256(_mm_loadu_pd(wx + 2 * p)), 0x50);
+#pragma GCC unroll 16
     for (long ix = 0; ix < w; ix++) kx[ix] = IDX(off, bx + ix);
     int contiguous = kx[w - 1] - kx[0] == w - 1;
     __m128d acc = _mm_setzero_pd();
     for (long iz = 0; iz < nz; iz++) {
       long plane = dims == 3 ? IDX(off, bz + iz) : 0;
       double wz = dims == 3 ? wts[bz + iz] : 1.0;
+#pragma GCC unroll 16
       for (long iy = 0; iy < w; iy++) {
         long row = plane + IDX(off, by + iy);
         double wr = wz * wts[by + iy];
         if (contiguous) {
           __m256d wr4 = _mm256_set1_pd(wr);
           const double *gp = grid + 2 * (row + kx[0]);
+#pragma GCC unroll 8
           for (long p = 0; p < pairs; p++) {
             __m256d t = _mm256_mul_pd(_mm256_mul_pd(wxx[p], wr4),
                                       _mm256_loadu_pd(gp + 4 * p));
@@ -383,11 +457,23 @@ gather_avx2(const double *grid, value off, const double *wts, double *out,
     _mm_storeu_pd(out + 2 * j, acc);
   }
 }
+
+static AVX2 void gather_avx2(const double *grid, value off, const double *wts,
+                             double *out, long dims, long w, long lo, long hi)
+{
+  if (w > MAX_W) {
+    gather_scalar(grid, off, wts, out, dims, w, lo, hi);
+    return;
+  }
+#define BODY(D, W) gather_avx2_body(grid, off, wts, out, D, W, lo, hi)
+  SPECIALISE(BODY, dims, w);
+#undef BODY
+}
 #endif
 
 #ifdef JIGSAW_SIMD_NEON
-static void gather_neon(const double *grid, value off, const double *wts,
-                        double *out, long dims, long w, long lo, long hi)
+INLINE void gather_neon_body(const double *grid, value off, const double *wts,
+                             double *out, long dims, long w, long lo, long hi)
 {
   long span = dims * w, nz = nplanes(dims, w);
   for (long j = lo; j < hi; j++) {
@@ -408,6 +494,14 @@ static void gather_neon(const double *grid, value off, const double *wts,
     }
     vst1q_f64(out + 2 * j, acc);
   }
+}
+
+static void gather_neon(const double *grid, value off, const double *wts,
+                        double *out, long dims, long w, long lo, long hi)
+{
+#define BODY(D, W) gather_neon_body(grid, off, wts, out, D, W, lo, hi)
+  SPECIALISE(BODY, dims, w);
+#undef BODY
 }
 #endif
 
@@ -594,6 +688,42 @@ CAMLprim value jigsaw_simd_fft_batch(value v, value rev, value tw, value off,
     }
   }
   return Val_unit;
+}
+
+/* ------------------------------------------------------------------ */
+/* Line staging for the strided FFT passes: copy [count] lines of [len]
+ * complex points, point j of line b moving from src[soff + b*sline +
+ * j*spoint] to dst[doff + b*dline + j*dpoint]. Pure data movement — no
+ * arithmetic, so the result does not depend on the dispatched
+ * implementation and the copy runs under every JIGSAW_SIMD state. The
+ * loop is point-outer, line-inner: a block of adjacent grid columns is
+ * read (or written back) as contiguous runs of [count] points. */
+
+CAMLprim value jigsaw_simd_copy_lines(value src, intnat soff, intnat sline,
+                                      intnat spoint, value dst, intnat doff,
+                                      intnat dline, intnat dpoint,
+                                      intnat count, intnat len)
+{
+  const double *s = (const double *)Caml_ba_data_val(src) + 2 * soff;
+  double *d = (double *)Caml_ba_data_val(dst) + 2 * doff;
+  for (long j = 0; j < len; j++) {
+    const double *sj = s + 2 * j * spoint;
+    double *dj = d + 2 * j * dpoint;
+    for (long b = 0; b < count; b++) {
+      dj[2 * b * dline] = sj[2 * b * sline];
+      dj[2 * b * dline + 1] = sj[2 * b * sline + 1];
+    }
+  }
+  return Val_unit;
+}
+
+CAMLprim value jigsaw_simd_copy_lines_bc(value *argv, int argn)
+{
+  (void)argn;
+  return jigsaw_simd_copy_lines(
+      argv[0], Long_val(argv[1]), Long_val(argv[2]), Long_val(argv[3]),
+      argv[4], Long_val(argv[5]), Long_val(argv[6]), Long_val(argv[7]),
+      Long_val(argv[8]), Long_val(argv[9]));
 }
 
 /* ------------------------------------------------------------------ */

@@ -219,6 +219,172 @@ let prop_roundtrip =
           (Fft.Fft1d.transformed Fft.Dft.Forward v) in
       Cvec.max_abs_diff v back <= 1e-8)
 
+(* ------------------------------------------------------------------ *)
+(* Bluestein tables, pruned and blocked passes: bit-identity against the
+   straightforward per-line algorithms. *)
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* [exact]: bit for bit; otherwise equal as floats (only the sign of an
+   exact zero may differ). *)
+let check_points ?(exact = true) name reference actual points =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (part, get) ->
+          let a = get reference k and b = get actual k in
+          if not (if exact then same_bits a b else a = b) then
+            Alcotest.failf "%s: %s[%d] differs: %h vs %h" name part k a b)
+        [ ("re", Cvec.unsafe_get_re); ("im", Cvec.unsafe_get_im) ])
+    points
+
+(* Bluestein as a per-line build: fresh buffers, every chirp from
+   cos/sin, the kernel spectrum recomputed. *)
+let bluestein_per_line dir v =
+  let n = Cvec.length v in
+  let m = Fft.Fft1d.next_pow2 ((2 * n) - 1) in
+  let s = Fft.Dft.sign dir in
+  let theta j = s *. Float.pi *. float_of_int (j * j mod (2 * n)) /. float_of_int n in
+  let u = Cvec.create m and w = Cvec.create m in
+  for j = 0 to n - 1 do
+    let cr = cos (theta j) and ci = sin (theta j) in
+    let xr = Cvec.get_re v j and xi = Cvec.get_im v j in
+    Cvec.set_parts u j ((xr *. cr) -. (xi *. ci)) ((xr *. ci) +. (xi *. cr));
+    Cvec.set_parts w j cr (-.ci);
+    if j > 0 then Cvec.set_parts w (m - j) cr (-.ci)
+  done;
+  Fft.Fft1d.transform Fft.Dft.Forward u;
+  Fft.Fft1d.transform Fft.Dft.Forward w;
+  for j = 0 to m - 1 do
+    let ar = Cvec.get_re u j and ai = Cvec.get_im u j in
+    let br = Cvec.get_re w j and bi = Cvec.get_im w j in
+    Cvec.set_parts u j ((ar *. br) -. (ai *. bi)) ((ar *. bi) +. (ai *. br))
+  done;
+  Fft.Fft1d.transform Fft.Dft.Inverse u;
+  let scale = 1.0 /. float_of_int m in
+  let out = Cvec.create n in
+  for k = 0 to n - 1 do
+    let cr = cos (theta k) and ci = sin (theta k) in
+    let ur = Cvec.get_re u k *. scale and ui = Cvec.get_im u k *. scale in
+    Cvec.set_parts out k ((ur *. cr) -. (ui *. ci)) ((ur *. ci) +. (ui *. cr))
+  done;
+  out
+
+let test_bluestein_tables () =
+  let rng = Random.State.make [| 91 |] in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun dir ->
+          let x = rand_vec rng n in
+          let expected = bluestein_per_line dir x in
+          (* Twice: the first call may build the tables, the second hits. *)
+          for pass = 1 to 2 do
+            let v = Cvec.copy x in
+            Fft.Fft1d.transform dir v;
+            check_points
+              (Printf.sprintf "bluestein n=%d pass %d" n pass)
+              expected v (List.init n Fun.id)
+          done)
+        [ Fft.Dft.Forward; Fft.Dft.Inverse ])
+    [ 3; 5; 6; 12; 100; 127; 384 ]
+
+(* The row-column transform one line at a time: each line gathered into
+   its own buffer, transformed, scattered back. *)
+let per_line dir ~g ~dims v =
+  let out = Cvec.copy v in
+  let stride = [| 1; g; g * g |] in
+  let total = Cvec.length v in
+  for axis = 0 to dims - 1 do
+    let st = stride.(axis) in
+    let line = Cvec.create g in
+    for start = 0 to total - 1 do
+      if start / st mod g = 0 then begin
+        for j = 0 to g - 1 do
+          Cvec.set line j (Cvec.get out (start + (j * st)))
+        done;
+        Fft.Fft1d.transform dir line;
+        for j = 0 to g - 1 do
+          Cvec.set out (start + (j * st)) (Cvec.get line j)
+        done
+      end
+    done
+  done;
+  out
+
+let kept ~g ~n i =
+  let h = n / 2 in
+  i < n - h || i >= g - h
+
+(* Points whose every coordinate lies in the kept set. *)
+let kept_points ~g ~n ~dims =
+  List.filter
+    (fun k ->
+      kept ~g ~n (k mod g)
+      && kept ~g ~n (k / g mod g)
+      && (dims = 2 || kept ~g ~n (k / (g * g))))
+    (List.init (int_of_float (float_of_int g ** float_of_int dims)) Fun.id)
+
+let test_pruned_blocked () =
+  let rng = Random.State.make [| 17 |] in
+  let pool = Runtime.Pool.create ~domains:3 () in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (dims, g, n) ->
+          let total = int_of_float (float_of_int g ** float_of_int dims) in
+          let all = List.init total Fun.id in
+          let keep = kept_points ~g ~n ~dims in
+          let x = rand_vec rng total in
+          let padded = Cvec.create total in
+          List.iter (fun k -> Cvec.set padded k (Cvec.get x k)) keep;
+          let exact = Fft.Fft1d.is_pow2 g in
+          List.iter
+            (fun (pname, pool) ->
+              List.iter
+                (fun dir ->
+                  let name what =
+                    Printf.sprintf "%dd g=%d n=%d %s %s %s" dims g n what pname
+                      (if dir = Fft.Dft.Forward then "fwd" else "inv")
+                  in
+                  let full = Cvec.copy x in
+                  (if dims = 2 then Fft.Fftnd.transform_2d ?pool dir ~nx:g ~ny:g full
+                   else Fft.Fftnd.transform_3d ?pool dir ~nx:g ~ny:g ~nz:g full);
+                  check_points (name "blocked") (per_line dir ~g ~dims x) full all;
+                  let cropped = Cvec.copy x in
+                  Fft.Fftnd.transform_cropped ?pool dir ~dims ~g ~n cropped;
+                  check_points (name "cropped") full cropped keep;
+                  let p = Cvec.copy padded in
+                  Fft.Fftnd.transform_padded ?pool dir ~dims ~g ~n p;
+                  check_points ~exact (name "padded")
+                    (per_line dir ~g ~dims padded) p all)
+                [ Fft.Dft.Forward; Fft.Dft.Inverse ])
+            [ ("serial", None); ("pool", Some pool) ])
+        [ (2, 16, 8); (2, 12, 6); (2, 96, 48); (2, 256, 128); (3, 8, 4);
+          (3, 12, 6) ])
+
+(* The premise of skipping padding lines: a power-of-two line of +0.0
+   transforms to +0.0 under every dispatch state. *)
+let test_zero_lines_stay_zero () =
+  List.iter
+    (fun impl ->
+      Simd.with_impl impl (fun () ->
+          for logn = 0 to 9 do
+            let len = 1 lsl logn in
+            List.iter
+              (fun dir ->
+                let v = Cvec.create len in
+                Fft.Fft1d.transform dir v;
+                for k = 0 to (2 * len) - 1 do
+                  if Int64.bits_of_float (Bigarray.Array1.get v k) <> 0L then
+                    Alcotest.failf "%s len=%d: float %d is not +0.0"
+                      (Simd.impl_name impl) len k
+                done)
+              [ Fft.Dft.Forward; Fft.Dft.Inverse ]
+          done))
+    (List.sort_uniq compare [ Simd.Off; Simd.Scalar; Simd.available ])
+
 let qtests = Qutil.to_alcotests [ prop_fft_dft_agree; prop_roundtrip ]
 
 let () =
@@ -241,5 +407,11 @@ let () =
          Alcotest.test_case "3d roundtrip" `Quick test_fft3d_roundtrip;
          Alcotest.test_case "3d separable" `Quick test_fft3d_separable;
          Alcotest.test_case "fftshift" `Quick test_fftshift;
-         Alcotest.test_case "size mismatch" `Quick test_size_mismatch ]);
+         Alcotest.test_case "size mismatch" `Quick test_size_mismatch;
+         Alcotest.test_case "bluestein tables = per-line build" `Quick
+           test_bluestein_tables;
+         Alcotest.test_case "pruned and blocked passes = per-line" `Quick
+           test_pruned_blocked;
+         Alcotest.test_case "zero lines stay +0.0" `Quick
+           test_zero_lines_stay_zero ]);
       ("properties", qtests) ]

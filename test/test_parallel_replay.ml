@@ -287,6 +287,36 @@ let test_determinism_stress () =
           out
       done)
 
+(* Two domains applying ONE cached operator at once: each forward and
+   adjoint takes the plan's single reusable grid, so while one domain
+   holds it the other finds the slot empty and allocates its own. Every
+   result must still be bitwise the serial reference. *)
+let test_shared_operator_domains () =
+  let module Svc = Pipeline.Recon_service in
+  let n = 16 in
+  let g = 2 * n in
+  let coords = Sample.random_2d ~seed:71 ~g 600 in
+  let svc = Svc.create () in
+  let op =
+    match Svc.operator svc ~backend:"serial" ~n ~coords with
+    | Ok (op, _) -> op
+    | Error e -> Alcotest.failf "operator: %s" (Svc.error_message e)
+  in
+  let x =
+    Cvec.init (n * n) (fun k ->
+        Numerics.Complexd.make (cos (0.3 *. float_of_int k)) (sin (float_of_int k)))
+  in
+  let normal () = Op.apply_adjoint op (Op.apply_forward op x) in
+  let reference = normal () in
+  let rounds = 40 in
+  let worker () = List.init rounds (fun _ -> normal ()) in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  List.iteri
+    (fun i img ->
+      check_bitwise (Printf.sprintf "concurrent application %d" i) reference img)
+    (r1 @ r2)
+
 let () =
   let bit2 f = List.map (fun (name, g) -> (name, `Quick, g)) f in
   Alcotest.run "parallel_replay"
@@ -309,5 +339,8 @@ let () =
       ( "partition",
         Qutil.to_alcotests [ prop_partition_covers ]
         @ bit2 [ ("partition cache", test_partition_cached) ] );
-      ("stress", bit2 [ ("shared-plan determinism", test_determinism_stress) ])
+      ( "stress",
+        bit2
+          [ ("shared-plan determinism", test_determinism_stress);
+            ("one operator on two domains", test_shared_operator_domains) ] )
     ]
