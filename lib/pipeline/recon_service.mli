@@ -117,8 +117,8 @@ val operator :
 
 val submit : t -> request -> (response, error) result
 (** Execute one request synchronously. Warm-cache requests on a
-    plan-backed backend run the arena fast path: replay-spread, pooled
-    FFT scratch, in-place de-apodization — bitwise identical to
+    plan-backed backend run the arena fast path: replay-spread into the
+    arena grid, pruned in-place FFT, de-apodization — bitwise identical to
     [Imaging.Recon.reconstruct_op], zero plan builds. Direct submissions
     run on the caller's thread, so the fast path's FFT passes use the
     service pool (bit-identical to the serial passes); batch-scheduled

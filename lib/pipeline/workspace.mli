@@ -28,7 +28,10 @@ type slot
 
 type arena = {
   grid : Numerics.Cvec.t;  (** [g^dims] oversampled grid *)
-  line : Numerics.Cvec.t;  (** FFT line-gather scratch, length [g] *)
+  line : Numerics.Cvec.t;
+      (** line buffer of the requested length (the reconstruction
+          service requests none: its FFT stages through a domain-local
+          scratch) *)
   image : Numerics.Cvec.t;  (** [n^dims] result staging *)
   cg : Imaging.Cg.buffers;  (** CG state vectors, length [n^dims] *)
   vals : Numerics.Cvec.t;  (** density-weighted sample values, length m *)
