@@ -31,10 +31,12 @@ let gz s =
       (Printf.sprintf "Sample.gz: %d-dimensional sample set" (dims s));
   s.coords.(2)
 
-let omega_to_grid ~g omega =
+let[@inline] omega_to_grid ~g omega =
   let gf = float_of_int g in
   let u = omega *. gf /. (2.0 *. Float.pi) in
-  let u = Float.rem u gf in
+  (* fmod returns its argument exactly (-0.0 included) when |u| < g, so
+     the common in-range case skips the libm call. *)
+  let u = if Float.abs u < gf then u else Float.rem u gf in
   let u = if u < 0.0 then u +. gf else u in
   (* Guard the open upper bound against rounding. *)
   if u >= gf then 0.0 else u
@@ -68,15 +70,17 @@ let make ~g ~coords ~values =
    loops would silently drop or misplace the sample. *)
 let grid_axes name ~g omega =
   Array.mapi
-    (fun a axis ->
-      Array.mapi
-        (fun j om ->
-          if not (Float.is_finite om) then
-            invalid_arg
-              (Printf.sprintf "%s: non-finite omega %g at sample %d (axis %d)"
-                 name om j a);
-          omega_to_grid ~g om)
-        axis)
+    (fun a (axis : float array) ->
+      let out = Array.create_float (Array.length axis) in
+      for j = 0 to Array.length axis - 1 do
+        let om = axis.(j) in
+        if not (Float.is_finite om) then
+          invalid_arg
+            (Printf.sprintf "%s: non-finite omega %g at sample %d (axis %d)"
+               name om j a);
+        out.(j) <- omega_to_grid ~g om
+      done;
+      out)
     omega
 
 let of_omega ~g ~omega ~values =

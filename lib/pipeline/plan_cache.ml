@@ -69,17 +69,21 @@ type t = {
 
 (* djb2-xor over the raw bits of every coordinate (plus the grid size):
    deterministic, order-sensitive, cheap. Equal trajectories held in
-   distinct arrays fingerprint identically — that is the point. *)
+   distinct arrays fingerprint identically — that is the point. The hash
+   is defined on 64-bit words and keeps their low 62 bits. Multiply and
+   xor never carry information downwards, so native 63-bit ints compute
+   the same low bits without boxing an [Int64] per coordinate. *)
 let default_fingerprint (s : Sample.t) =
-  let h = ref 5381L in
-  let mix v = h := Int64.logxor (Int64.mul !h 33L) v in
-  mix (Int64.of_int s.Sample.g);
-  Array.iter
-    (fun axis ->
-      mix (Int64.of_int (Array.length axis));
-      Array.iter (fun x -> mix (Int64.bits_of_float x)) axis)
-    s.Sample.coords;
-  Int64.to_int !h land max_int
+  let h = ref ((5381 * 33) lxor s.Sample.g) in
+  let coords = s.Sample.coords in
+  for a = 0 to Array.length coords - 1 do
+    let axis = coords.(a) in
+    h := (!h * 33) lxor Array.length axis;
+    for j = 0 to Array.length axis - 1 do
+      h := (!h * 33) lxor Int64.to_int (Int64.bits_of_float axis.(j))
+    done
+  done;
+  !h land max_int
 
 let create ?(max_entries = 32) ?(max_bytes = 256 * 1024 * 1024)
     ?(fingerprint = default_fingerprint) () =
@@ -128,10 +132,24 @@ let key_of t ~backend (ctx : Op.ctx) =
 
 (* Structural coordinate equality guards against fingerprint collisions:
    two distinct trajectories that happen to share a fingerprint get
-   separate entries. Coordinates are finite floats in [0, g), so [=] is
-   sound; physical identity short-circuits the common warm case. *)
+   separate entries. Coordinates are finite floats in [0, g), so float
+   [=] is sound; physical identity short-circuits the common warm case.
+   The axis loop has the semantics of polymorphic [=] on the arrays
+   (0.0 = -0.0, NaN <> NaN) without its generic traversal. *)
+let axis_equal (x : float array) (y : float array) =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get x !i = Array.unsafe_get y !i do
+    incr i
+  done;
+  !i = n
+
 let coords_equal (a : Sample.t) (b : Sample.t) =
-  a.Sample.coords == b.Sample.coords || a.Sample.coords = b.Sample.coords
+  a.Sample.coords == b.Sample.coords
+  || Array.length a.Sample.coords = Array.length b.Sample.coords
+     && Array.for_all2 axis_equal a.Sample.coords b.Sample.coords
 
 let find t key (coords : Sample.t) =
   List.find_opt
@@ -172,7 +190,7 @@ let with_canonical (canonical : Sample.t) ((module O : Op.NUFFT_OP) : Op.op) :
       if
         s.Sample.coords != canonical.Sample.coords
         && s.Sample.g = canonical.Sample.g
-        && s.Sample.coords = canonical.Sample.coords
+        && coords_equal s canonical
       then O.adjoint (Sample.with_values canonical s.Sample.values)
       else O.adjoint s
   end)

@@ -57,8 +57,8 @@ let rec recv_response t =
       match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
       | 0 -> Error Closed
       | n ->
-          Protocol.Decoder.feed t.dec
-            (Bytes.sub_string t.chunk 0 n) 0 n;
+          (* [feed] copies the bytes out before the chunk is reused. *)
+          Protocol.Decoder.feed t.dec (Bytes.unsafe_to_string t.chunk) 0 n;
           recv_response t
       | exception Unix.Unix_error (EINTR, _, _) -> recv_response t
       | exception Unix.Unix_error (e, _, _) ->

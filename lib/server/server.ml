@@ -436,7 +436,7 @@ let handle_request t fd (req : Protocol.request) =
    protocol until EOF, timeout, or a framing error. *)
 let conn_loop t fd =
   let dec = Protocol.Decoder.create ~limits:t.cfg.limits () in
-  let chunk = Bytes.create 4096 in
+  let chunk = Bytes.create 65536 in
   let rec drain_frames () =
     match Protocol.Decoder.next dec with
     | Ok None -> `Continue
@@ -471,10 +471,13 @@ let conn_loop t fd =
           Telemetry.Counter.incr c_disconnects
         end
     | nread -> (
-        let s = Bytes.sub_string chunk 0 nread in
-        if first && Protocol.looks_like_http s then handle_http t fd s
+        if
+          first
+          && Protocol.looks_like_http (Bytes.sub_string chunk 0 (min nread 4))
+        then handle_http t fd (Bytes.sub_string chunk 0 nread)
         else begin
-          Protocol.Decoder.feed_string dec s;
+          (* [feed] copies the bytes out before the chunk is reused. *)
+          Protocol.Decoder.feed dec (Bytes.unsafe_to_string chunk) 0 nread;
           match drain_frames () with
           | `Continue -> read_loop ~first:false
           | `Close -> ()

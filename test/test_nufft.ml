@@ -491,6 +491,38 @@ let test_omega_to_grid () =
   let u = Sample.omega_to_grid ~g:64 (2.0 *. Float.pi -. 1e-9) in
   Alcotest.(check bool) "wraps into range" true (u >= 0.0 && u < 64.0)
 
+(* The mapping as it stood before the in-range fast path: [Float.rem] on
+   every coordinate. The fast path must agree with it bit for bit. *)
+let omega_to_grid_rem ~g omega =
+  let gf = float_of_int g in
+  let u = omega *. gf /. (2.0 *. Float.pi) in
+  let u = Float.rem u gf in
+  let u = if u < 0.0 then u +. gf else u in
+  if u >= gf then 0.0 else u
+
+let test_omega_to_grid_bitwise () =
+  let pi = Float.pi in
+  let edges =
+    [ 0.0; -0.0; pi; -.pi; Float.pred pi; Float.succ (-.pi); 2.0 *. pi;
+      -2.0 *. pi; Float.pred (2.0 *. pi); Float.succ (-2.0 *. pi);
+      8.0 *. pi; -8.0 *. pi; 4.9e-324; -4.9e-324 ]
+    @ List.init 65 (fun k -> float_of_int (k - 32) *. pi /. 4.0)
+  in
+  let rng = Random.State.make [| 17 |] in
+  let random =
+    List.init 10_000 (fun _ -> Random.State.float rng (16.0 *. pi) -. (8.0 *. pi))
+  in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun om ->
+          let want = omega_to_grid_rem ~g om and got = Sample.omega_to_grid ~g om in
+          if Int64.bits_of_float want <> Int64.bits_of_float got then
+            Alcotest.failf "g=%d omega=%h: %h, Float.rem formula %h" g om got
+              want)
+        (edges @ random))
+    [ 1; 2; 3; 64; 65; 128; 255; 640 ]
+
 let test_sample_validation () =
   let values = Cvec.create 2 in
   Alcotest.check_raises "out of range"
@@ -1178,6 +1210,8 @@ let () =
          Alcotest.test_case "duplication factor" `Quick test_duplication_factor ]);
       ("sample",
        [ Alcotest.test_case "omega mapping" `Quick test_omega_to_grid;
+         Alcotest.test_case "omega mapping = Float.rem formula bitwise" `Quick
+           test_omega_to_grid_bitwise;
          Alcotest.test_case "validation" `Quick test_sample_validation ]);
       ("nudft",
        [ Alcotest.test_case "adjoint dc" `Quick test_nudft_adjoint_1d_dc;

@@ -170,7 +170,71 @@ let test_fingerprint_collision () =
   Alcotest.(check int) "both lookups were misses" 2 s.Cache.misses;
   let op_a', _ = Cache.operator cache ~backend:"serial" ~ctx:(ctx_for 16 a) in
   Alcotest.(check bool) "re-lookup hits the right entry" true (op_a' == op_a);
-  Alcotest.(check int) "hit recorded" 1 (Cache.stats cache).Cache.hits
+  Alcotest.(check int) "hit recorded" 1 (Cache.stats cache).Cache.hits;
+  (* Coordinates compare with float [=], so sets that differ only in the
+     sign of a zero are the same trajectory: under a colliding
+     fingerprint the second one hits the first one's entry. *)
+  let with_zero z =
+    let gx = Array.copy (Sample.gx b) in
+    gx.(0) <- z;
+    Sample.make_2d ~g:32 ~gx ~gy:(Array.copy (Sample.gy b))
+      ~values:b.Sample.values
+  in
+  let op_p, _ =
+    Cache.operator cache ~backend:"serial" ~ctx:(ctx_for 16 (with_zero 0.0))
+  in
+  let op_m, _ =
+    Cache.operator cache ~backend:"serial" ~ctx:(ctx_for 16 (with_zero (-0.0)))
+  in
+  Alcotest.(check bool) "-0.0 finds the 0.0 entry" true (op_m == op_p);
+  let s = Cache.stats cache in
+  Alcotest.(check int) "one new entry for the signed-zero pair" 3
+    s.Cache.entries;
+  Alcotest.(check int) "the signed-zero re-lookup is a hit" 2 s.Cache.hits
+
+(* The djb2-xor fingerprint as defined over Int64 words. *)
+let reference_fingerprint (s : Sample.t) =
+  let h = ref 5381L in
+  let mix v = h := Int64.logxor (Int64.mul !h 33L) v in
+  mix (Int64.of_int s.Sample.g);
+  Array.iter
+    (fun axis ->
+      mix (Int64.of_int (Array.length axis));
+      Array.iter (fun x -> mix (Int64.bits_of_float x)) axis)
+    s.Sample.coords;
+  Int64.to_int !h land max_int
+
+let test_fingerprint_reference () =
+  List.iter
+    (fun (dims, g, m, seed) ->
+      let s = Sample.random ~seed ~dims ~g m in
+      Alcotest.(check int)
+        (Printf.sprintf "%dD g=%d m=%d" dims g m)
+        (reference_fingerprint s) (Cache.default_fingerprint s);
+      (* signed zeros, non-finite values and negative bit patterns hash
+         through their raw bits like any other coordinate *)
+      let odd = Array.map Array.copy s.Sample.coords in
+      if m >= 4 then begin
+        odd.(0).(0) <- -0.0;
+        odd.(0).(1) <- Float.nan;
+        odd.(dims - 1).(2) <- neg_infinity;
+        odd.(dims - 1).(3) <- -1.5
+      end;
+      let s' = { s with Sample.coords = odd } in
+      Alcotest.(check int) "special coordinates" (reference_fingerprint s')
+        (Cache.default_fingerprint s'))
+    [ (2, 32, 64, 1); (2, 128, 3072, 2); (2, 255, 1000, 3); (3, 16, 500, 4);
+      (3, 64, 2048, 5); (2, 8, 0, 6); (1, 7, 9, 7) ];
+  (* Allocation-free: a boxed Int64 per coordinate would cost 24 bytes
+     each. *)
+  let s = Sample.random ~seed:9 ~dims:2 ~g:128 3072 in
+  ignore (Cache.default_fingerprint s);
+  let b0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Cache.default_fingerprint s));
+  let bytes = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "fingerprint allocates %g bytes <= 64" bytes)
+    true (bytes <= 64.0)
 
 let test_concurrent_single_build () =
   with_telemetry @@ fun () ->
@@ -652,6 +716,8 @@ let () =
           Alcotest.test_case "byte budget" `Quick test_byte_budget;
           Alcotest.test_case "fingerprint collision" `Quick
             test_fingerprint_collision;
+          Alcotest.test_case "fingerprint = djb2-xor reference" `Quick
+            test_fingerprint_reference;
           Alcotest.test_case "concurrent single build" `Quick
             test_concurrent_single_build;
           Alcotest.test_case "toeplitz create hook" `Quick
