@@ -34,7 +34,8 @@ let reconstruct_from_grid plan grid =
       Cvec.set image ((iy * n) + ix)
         (C.scale
            (1.0
-           /. (plan.Nufft.Plan.deapod.(ix) *. plan.Nufft.Plan.deapod.(iy)))
+           /. (plan.Nufft.Plan.deapod.values.(ix)
+              *. plan.Nufft.Plan.deapod.values.(iy)))
            (Cvec.get grid src))
     done
   done;

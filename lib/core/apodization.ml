@@ -18,6 +18,31 @@ let factors ~kernel ~width ~n ~g =
     f;
   f
 
+type shared = {
+  kernel : Numerics.Window.t;
+  width : int;
+  n : int;
+  g : int;
+  values : float array;
+}
+
+(* Like {!Numerics.Weight_table.shared}: one weakly held vector per
+   (kernel, width, n, g). *)
+module Store = Numerics.Weak_store.Make (struct
+  type t = shared
+
+  let equal a b =
+    a.width = b.width && a.n = b.n && a.g = b.g && a.kernel = b.kernel
+
+  let hash a = Hashtbl.hash (a.kernel, a.width, a.n, a.g)
+end)
+
+let shared ~kernel ~width ~n ~g =
+  let probe = { kernel; width; n; g; values = [||] } in
+  fst
+    (Store.find_or_build probe (fun () ->
+         { probe with values = factors ~kernel ~width ~n ~g }))
+
 (* The pointwise scale shared by every deapodization call site: one
    contiguous run of [len] complex elements divided by the separable
    factor product [(f.(f_off+i) *. fy) *. fz]. The left-associated

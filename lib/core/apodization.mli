@@ -15,6 +15,23 @@ val factors :
     are checked to be bounded away from zero (the oversampling margin
     guarantees this for sane kernels); raises [Failure] otherwise. *)
 
+type shared = private {
+  kernel : Numerics.Window.t;
+  width : int;
+  n : int;
+  g : int;
+  values : float array;  (** [factors ~kernel ~width ~n ~g] *)
+}
+
+val shared :
+  kernel:Numerics.Window.t -> width:int -> n:int -> g:int -> shared
+(** {!factors} through a process-wide store keyed on
+    [(kernel, width, n, g)]: equal geometries get one physically equal
+    record. The store holds its records weakly ({!Numerics.Weak_store}),
+    so the caller must keep the record — not just its [values] — for as
+    long as it wants the vector shared. Safe to call from any domain;
+    raises like {!factors}. *)
+
 val scale_row_into :
   dst:Numerics.Cvec.t ->
   dst_off:int ->

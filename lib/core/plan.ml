@@ -16,7 +16,7 @@ type plan = {
   tol : float option;
   kernel : Numerics.Window.t;
   table : Wt.t;
-  deapod : float array;
+  deapod : Apodization.shared;
   engine : Gridding.engine;
   pool : Runtime.Pool.t option;
   simd : bool;
@@ -86,10 +86,10 @@ let make ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?(engine = Gridding.Serial)
   | Gridding.Serial | Gridding.Output_parallel | Gridding.Binned _ -> ());
   let sp = Telemetry.span_begin ~cat:"plan" "plan.make" in
   let sp_table = Telemetry.span_begin ~cat:"plan" "plan.table" in
-  let table = Wt.make ~precision:table_precision ~kernel ~width:w ~l () in
+  let table = Wt.shared ~precision:table_precision ~kernel ~width:w ~l () in
   Telemetry.span_end sp_table;
   let sp_deapod = Telemetry.span_begin ~cat:"plan" "plan.deapod" in
-  let deapod = Apodization.factors ~kernel ~width:w ~n ~g in
+  let deapod = Apodization.shared ~kernel ~width:w ~n ~g in
   Telemetry.span_end sp_deapod;
   Telemetry.span_end sp;
   { n; sigma; g; w; l; tol; kernel; table; deapod; engine; pool; simd = true;
@@ -116,7 +116,7 @@ let crop_deapodize_2d_into plan big image =
     invalid_arg "Plan.crop_deapodize_2d: grid size mismatch";
   if Cvec.length image <> n * n then
     invalid_arg "Plan.crop_deapodize_2d: image size mismatch";
-  let deapod = plan.deapod in
+  let deapod = plan.deapod.Apodization.values in
   let h = n / 2 in
   for iy = 0 to n - 1 do
     let row = Coord.wrap ~g (iy - h) * g in
@@ -134,7 +134,7 @@ let pad_apodize_2d_into plan image big =
   let n = plan.n and g = plan.g in
   if Cvec.length image <> n * n then
     invalid_arg "Plan: image size mismatch";
-  let deapod = plan.deapod in
+  let deapod = plan.deapod.Apodization.values in
   let h = n / 2 in
   for iy = 0 to n - 1 do
     let row = Coord.wrap ~g (iy - h) * g in
@@ -157,7 +157,7 @@ let crop_deapodize_3d_into plan big volume =
     invalid_arg "Plan.crop_deapodize_3d: grid size mismatch";
   if Cvec.length volume <> n * n * n then
     invalid_arg "Plan.crop_deapodize_3d: volume size mismatch";
-  let deapod = plan.deapod in
+  let deapod = plan.deapod.Apodization.values in
   let h = n / 2 in
   for iz = 0 to n - 1 do
     let pz = Coord.wrap ~g (iz - h) * g in
@@ -177,7 +177,7 @@ let pad_apodize_3d_into plan volume big =
   let n = plan.n and g = plan.g in
   if Cvec.length volume <> n * n * n then
     invalid_arg "Plan.forward_3d: volume size mismatch";
-  let deapod = plan.deapod in
+  let deapod = plan.deapod.Apodization.values in
   let h = n / 2 in
   for iz = 0 to n - 1 do
     let pz = Coord.wrap ~g (iz - h) * g in
@@ -531,7 +531,7 @@ let make_type3 ?tol ?family ?kernel ?w ?(sigma = 2.0) ?l ?pool ~sources
             let u = (sources.(d).(j) -. x0.(d)) /. gamma.(d) in
             Sample.omega_to_grid ~g:nf u))
   in
-  let table = Wt.make ~precision:Wt.Double ~kernel ~width:w ~l () in
+  let table = Wt.shared ~kernel ~width:w ~l () in
   let splan =
     match dims with
     | 2 ->

@@ -1,8 +1,13 @@
 (** The Non-uniform Fast Fourier Transform (paper §II-B, Fig 1).
 
     A {!plan} fixes the problem geometry (base grid size [n], oversampling
-    factor [sigma], window width [w], table oversampling [l]) and
-    precomputes the interpolation weight table and apodization factors. The
+    factor [sigma], window width [w], table oversampling [l]) and holds the
+    interpolation weight table and apodization factors. Both depend on the
+    geometry alone, so they come from process-wide stores
+    ({!Numerics.Weight_table.shared}, {!Apodization.shared}) that hand
+    every plan of one geometry the same immutable arrays and hold them
+    weakly: a plan for a fresh trajectory of a live geometry builds no
+    table, and a geometry whose plans are all gone frees its tables. The
     two NuFFT variants used in image reconstruction are then:
 
     - {e adjoint} (k-space -> image): (1) gridding, (2) FFT,
@@ -31,7 +36,11 @@ type plan = private {
           [None] for explicit-knob plans *)
   kernel : Numerics.Window.t;
   table : Numerics.Weight_table.t;
-  deapod : float array;  (** per-dimension apodization factors, length n *)
+      (** the weight table, from {!Numerics.Weight_table.shared}: every
+          plan of one (kernel, w, l, precision) holds the same array *)
+  deapod : Apodization.shared;
+      (** per-dimension apodization factors ([values], length n), from
+          {!Apodization.shared}: one record per (kernel, w, n, g) *)
   engine : Gridding.engine;
   pool : Runtime.Pool.t option;
       (** domain pool used by every transform of this plan *)
@@ -64,7 +73,9 @@ val make :
   plan
 (** Create a plan for an [n^d] image. Defaults: Kaiser-Bessel window with
     the Beatty beta, [w = Window.default_width ~sigma] (6 at the default
-    [sigma = 2.0]), [l = 512], [engine = Serial].
+    [sigma = 2.0]), [l = 512], [engine = Serial]. The weight table and
+    deapodization factors are built only when no live plan (or other
+    holder) of the same geometry has them; otherwise they are shared.
 
     A plan serves the lattice-coupled transform types: {!adjoint} is
     type-1 ({!Transform.Type1}, nonuniform to uniform) and {!forward} is

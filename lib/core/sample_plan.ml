@@ -69,14 +69,6 @@ let[@inline] acc_parts (v : Cvec.t) k re im =
 let[@inline] window_start w u =
   int_of_float (Float.floor (u +. (float_of_int w /. 2.0))) - w + 1
 
-let[@inline] wrap g k =
-  let r = k mod g in
-  if r < 0 then r + g else r
-
-let[@inline] lut tbl tlen lf d =
-  let a = int_of_float (Float.round (Float.abs d *. lf)) in
-  if a >= tlen then 0.0 else Array.unsafe_get tbl a
-
 (* Compilation records, per sample and per axis, the [w] wrapped cell
    offsets of the interpolation window (pre-multiplied by the axis
    stride: 1, g, g^2) and the [w] table weights — one lookup per axis
@@ -86,6 +78,26 @@ let[@inline] lut tbl tlen lf d =
    weight product of the serial engine, so the accumulation order onto
    every grid cell — and therefore the floating-point result — is
    bit-identical to the serial and slice engines.
+
+   The window loop makes no libm call, no division and no int-to-float
+   conversion per entry, yet stores exactly what the engines'
+   [window_start] / [wrap] / [lut] formulas give:
+   - the window start is wrapped once per sample and axis; the cell then
+     advances by one, wrapping at [g];
+   - the window position [ku] advances as a float by exact integer steps,
+     so [ku -. u] is the same rounded difference as
+     [float_of_int ku -. u];
+   - the table address [Float.round x] of the non-negative
+     [x = |ku - u| * L] (round half away from zero) is
+     [(trunc (2x) + 1) / 2]: doubling is exact, so [trunc (2x)] is
+     [2 trunc x] plus one exactly when the fraction of [x] is at least
+     one half. [|ku - u| *. 2L] is that [2x] bit for bit, since scaling
+     by two commutes with rounding (any product small enough to be
+     subnormal truncates to address 0 either way).
+   A float compare on the remainder [x - trunc x] would be just as exact,
+   but converting [trunc x] back to float chains each entry's
+   [cvtsi2sd] to the previous one's result through its destination
+   register, which costs more than the [Float.round] call it replaces.
 
    Stats: compilation charges the select/eval cost (the decomposition: the
    caller-supplied [select_checks] plus one [window_evals] per table lookup
@@ -98,11 +110,12 @@ let compile ?stats ~select_checks ~table ~g axes =
   let dims = Array.length axes in
   let m = Array.length axes.(0) in
   let w = Wt.width table in
-  let tbl = Wt.data table and lf = float_of_int (Wt.oversampling table) in
+  let tbl = Wt.data table in
+  let lf2 = 2.0 *. float_of_int (Wt.oversampling table) in
   let tlen = Array.length tbl in
   let span = dims * w in
   let off = Array.make (m * span) 0 in
-  let wts = Array.make (m * span) 0.0 in
+  let wts = Array.create_float (m * span) in
   let stride = ref 1 in
   for a = 0 to dims - 1 do
     let coords = axes.(a) and st = !stride in
@@ -110,10 +123,16 @@ let compile ?stats ~select_checks ~table ~g axes =
       let u = Array.unsafe_get coords j in
       let s = window_start w u in
       let base = (j * span) + (a * w) in
+      let cell = ref (let r = s mod g in if r < 0 then r + g else r) in
+      let ku = ref (float_of_int s) in
       for i = 0 to w - 1 do
-        let ku = s + i in
-        Array.unsafe_set off (base + i) (wrap g ku * st);
-        Array.unsafe_set wts (base + i) (lut tbl tlen lf (float_of_int ku -. u))
+        Array.unsafe_set off (base + i) (!cell * st);
+        let c = !cell + 1 in
+        cell := if c = g then 0 else c;
+        let addr = (int_of_float (Float.abs (!ku -. u) *. lf2) + 1) lsr 1 in
+        ku := !ku +. 1.0;
+        Array.unsafe_set wts (base + i)
+          (if addr >= tlen then 0.0 else Array.unsafe_get tbl addr)
       done
     done;
     stride := st * g
@@ -122,6 +141,12 @@ let compile ?stats ~select_checks ~table ~g axes =
     ~accums:0;
   { dims; m; g; w; points = pow w dims; off; wts; pmutex = Mutex.create ();
     part = None }
+
+let axis_window t ~sample ~axis =
+  if sample < 0 || sample >= t.m || axis < 0 || axis >= t.dims then
+    invalid_arg "Sample_plan.axis_window: out of range";
+  let base = ((sample * t.dims) + axis) * t.w in
+  (Array.sub t.off base t.w, Array.sub t.wts base t.w)
 
 let compile_2d ?stats ?(select_checks = 0) ~table ~g ~gx ~gy () =
   if Array.length gy <> Array.length gx then

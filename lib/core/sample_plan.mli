@@ -60,6 +60,13 @@ val memory_words : t -> int
 (** Footprint of the compiled arrays, in words: [2 * m * dims * w] plus
     a constant. A cached region {!partition} is not included. *)
 
+val axis_window : t -> sample:int -> axis:int -> int array * float array
+(** [axis_window t ~sample ~axis] is a copy of the [w] stored entries of
+    one sample's window along one axis: the wrapped cell offsets (times
+    the axis stride [g^axis]) and the table weights. An inspection hook
+    for tests; replay never calls it. Raises [Invalid_argument] out of
+    range. *)
+
 val compile_2d :
   ?stats:Gridding_stats.t ->
   ?select_checks:int ->

@@ -46,7 +46,7 @@ let setup (c : Op.ctx) =
      tolerance-driven plans) — both engines' tables and the companion
      double plan must agree on it. *)
   let kernel = c.Op.kernel in
-  let table = Wt.make ~precision:Wt.Fixed16 ~kernel ~width:c.Op.w ~l () in
+  let table = Wt.shared ~precision:Wt.Fixed16 ~kernel ~width:c.Op.w ~l () in
   let plan =
     Nufft.Plan.make ~kernel ~w:c.Op.w ~sigma:c.Op.sigma ~l ?pool:c.Op.pool
       ~n:c.Op.n ()

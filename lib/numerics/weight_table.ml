@@ -22,12 +22,37 @@ let make ?(precision = Double) ~kernel ~width ~l () =
   if width < 1 then invalid_arg "Weight_table.make: width < 1";
   if l < 1 then invalid_arg "Weight_table.make: l < 1";
   let entries = (width * l / 2) + 1 in
-  let table =
-    Array.init entries (fun a ->
-        quantize precision
-          (Window.eval kernel ~width (float_of_int a /. float_of_int l)))
-  in
+  let psi = Window.staged kernel ~width and lf = float_of_int l in
+  let table = Array.create_float entries in
+  for a = 0 to entries - 1 do
+    Array.unsafe_set table a (quantize precision (psi (float_of_int a /. lf)))
+  done;
   { kernel; width; l; precision; table }
+
+(* Tables are pure functions of their geometry (kernel, width, l,
+   precision), so every plan of one geometry can read one immutable
+   array. The store holds them weakly (see {!Weak_store}): a w = 16,
+   l = 262144 table is 16 MB and [tol] comes off the wire. *)
+module Store = Weak_store.Make (struct
+  type nonrec t = t
+
+  let equal a b =
+    a.width = b.width && a.l = b.l && a.precision = b.precision
+    && a.kernel = b.kernel
+
+  let hash t = Hashtbl.hash (t.kernel, t.width, t.l, t.precision)
+end)
+
+let c_built = Telemetry.Counter.make "plan.tables_built"
+let c_shared = Telemetry.Counter.make "plan.tables_shared"
+
+let shared ?(precision = Double) ~kernel ~width ~l () =
+  let probe = { kernel; width; l; precision; table = [||] } in
+  let t, built =
+    Store.find_or_build probe (fun () -> make ~precision ~kernel ~width ~l ())
+  in
+  Telemetry.Counter.incr (if built then c_built else c_shared);
+  t
 
 let kernel t = t.kernel
 let width t = t.width

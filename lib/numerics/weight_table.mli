@@ -23,6 +23,16 @@ val make : ?precision:precision -> kernel:Window.t -> width:int -> l:int -> unit
 (** Build a table for [kernel] of window width [width] with oversampling
     factor [l]. Raises [Invalid_argument] if [width < 1] or [l < 1]. *)
 
+val shared :
+  ?precision:precision -> kernel:Window.t -> width:int -> l:int -> unit -> t
+(** [shared] is {!make} through the process-wide table store: equal
+    geometries (kernel, width, l, precision) get one physically equal
+    table. The store holds its tables weakly, so it never keeps one alive
+    by itself: once no caller holds a geometry's table, a major GC drops
+    it and the next request rebuilds it. Safe to call from any domain.
+    Counts [plan.tables_built] when it builds a table and
+    [plan.tables_shared] when it returns a live one. *)
+
 val kernel : t -> Window.t
 val width : t -> int
 val oversampling : t -> int

@@ -41,20 +41,31 @@ let bspline3 u =
     d *. d *. d /. 6.0
   else (4.0 -. (6.0 *. a *. a) +. (3.0 *. a *. a *. a)) /. 6.0
 
-let eval kernel ~width t =
+(* The kernel's per-point expression with everything that depends only
+   on (kernel, width) hoisted: the Kaiser-Bessel normaliser [I0(beta)]
+   is evaluated once per staging instead of once per point. Each point
+   still computes the very same float expression, so a staged evaluator
+   and [eval] agree bit for bit. *)
+let staged kernel ~width =
   let half = float_of_int width /. 2.0 in
-  if Float.abs t >= half then 0.0
-  else
+  let psi =
     match kernel with
     | Kaiser_bessel beta ->
-        let u = t /. half in
-        Bessel.i0 (beta *. sqrt (1.0 -. (u *. u))) /. Bessel.i0 beta
-    | Gaussian sigma -> exp (-.(t *. t) /. (2.0 *. sigma *. sigma))
-    | Bspline -> bspline3 (4.0 *. t /. float_of_int width)
-    | Sinc -> sinc t
+        let i0_beta = Bessel.i0 beta in
+        fun t ->
+          let u = t /. half in
+          Bessel.i0 (beta *. sqrt (1.0 -. (u *. u))) /. i0_beta
+    | Gaussian sigma -> fun t -> exp (-.(t *. t) /. (2.0 *. sigma *. sigma))
+    | Bspline -> fun t -> bspline3 (4.0 *. t /. float_of_int width)
+    | Sinc -> sinc
     | Exp_semicircle beta ->
-        let u = t /. half in
-        exp (beta *. (sqrt (1.0 -. (u *. u)) -. 1.0))
+        fun t ->
+          let u = t /. half in
+          exp (beta *. (sqrt (1.0 -. (u *. u)) -. 1.0))
+  in
+  fun t -> if Float.abs t >= half then 0.0 else psi t
+
+let eval kernel ~width t = staged kernel ~width t
 
 (* Simpson panel count: the default scales with the window width so wide
    kernels keep the same panel density per grid unit (256 panels per unit
@@ -73,7 +84,8 @@ let ft_numeric ?panels kernel ~width f =
         if p land 1 = 1 then p + 1 else p
   in
   let h = half /. float_of_int n in
-  let g t = eval kernel ~width t *. cos (2.0 *. Float.pi *. f *. t) in
+  let psi = staged kernel ~width in
+  let g t = psi t *. cos (2.0 *. Float.pi *. f *. t) in
   let sum = ref (g 0.0 +. g half) in
   for j = 1 to n - 1 do
     let w = if j land 1 = 1 then 4.0 else 2.0 in

@@ -49,6 +49,13 @@ val eval : t -> width:int -> float -> float
     Exp_semicircle; the B-spline uses its conventional partition-of-unity
     normalisation. *)
 
+val staged : t -> width:int -> float -> float
+(** [staged kernel ~width] is {!eval} [kernel ~width] with the per-kernel
+    constants (the Kaiser-Bessel normaliser [I0(beta)]) computed once, at
+    partial application. Every point evaluates the same float expression
+    as {!eval}, so the two agree bit for bit; table builds stage once and
+    evaluate thousands of points. *)
+
 val ft : t -> width:int -> float -> float
 (** [ft kernel ~width f] is the continuous Fourier transform
     [integral psi(t) e^{-2 pi i f t} dt] (real, since psi is even) at

@@ -133,10 +133,24 @@ type stats = {
   s_tenants : int;
 }
 
+(* The serving tier's major-GC pace: [Gc.space_overhead] (the floating
+   garbage the major collector allows, as a percentage of live data) is
+   capped at 80, from the runtime's default of 120. Every request
+   allocates a few hundred KiB of short-lived major-heap arrays (frames,
+   decoded samples, coordinates, a fresh trajectory's compiled windows)
+   on the connection threads and the workers, while live data stays
+   small. Large blocks are malloc'd, so at 120 the collector frees them
+   late enough that each thread's malloc arena grows to hold them, and
+   the arenas keep that memory after it is freed. *)
+let space_overhead = 80
+
 let create ?(config = default_config) ?handler () =
   if config.workers < 1 then invalid_arg "Server.create: workers < 1";
   if config.queue_capacity < 1 then
     invalid_arg "Server.create: queue_capacity < 1";
+  (let gc = Gc.get () in
+   if gc.Gc.space_overhead > space_overhead then
+     Gc.set { gc with Gc.space_overhead });
   let tenants = Tenants.create ~config:config.tenants () in
   let handler =
     match handler with Some h -> h | None -> Tenants.handle tenants

@@ -63,6 +63,11 @@ type handler =
 type t
 
 val create : ?config:config -> ?handler:handler -> unit -> t
+(** A stopped server. Lowers the process's [Gc.space_overhead] to 80 if
+    it is higher: requests allocate large short-lived buffers, and the
+    runtime's default pace lets their garbage grow the allocator's
+    per-thread arenas, which keep that memory once it is freed. *)
+
 val start : t -> unit
 (** Bind, listen, spawn workers and the accept thread. Raises
     [Invalid_argument] if already started; [Unix.Unix_error] if the

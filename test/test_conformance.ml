@@ -285,14 +285,37 @@ let prop_t3_adjointness dims =
       let ax = Plan.type3_exec fwd x in
       let aty = conj_cvec (Plan.type3_exec swapped (conj_cvec y)) in
       let lhs = Cvec.dot ax y and rhs = Cvec.dot x aty in
-      let err =
-        C.norm (C.sub lhs rhs) /. Float.max (C.norm lhs) (C.norm rhs)
+      (* Both sides go through a NUFFT approximation, so the identity
+         holds to the accuracy contract, not machine precision. Scale by
+         Cauchy-Schwarz bounds on the two inner products, not by the
+         products themselves: random x, y can make <Ax, y> nearly cancel,
+         which inflates a relative error without the transform being any
+         less accurate. *)
+      let scale =
+        Float.max
+          (sqrt (Cvec.norm2 ax *. Cvec.norm2 y))
+          (sqrt (Cvec.norm2 x *. Cvec.norm2 aty))
       in
-      (* both sides go through a NUFFT approximation, so the identity
-         holds to the accuracy contract, not machine precision *)
-      if err >= 100.0 *. tol then
+      let err = C.norm (C.sub lhs rhs) /. scale in
+      if err >= 10.0 *. tol then
         QCheck.Test.fail_reportf "type-3 dot-test err %.3e" err
       else true)
+
+(* Input draws that once failed the property when it divided by
+   |<Ax, y>|: each nearly cancels the inner product. Pinned as fixed
+   cases, independent of QCHECK_SEED. *)
+let t3_adjointness_regressions =
+  List.map
+    (fun (dims, seed) ->
+      let _, speed, run =
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| seed |])
+          (prop_t3_adjointness dims)
+      in
+      ( Printf.sprintf "type-3 adjointness: %dD, QCHECK_SEED=%d" dims seed,
+        speed,
+        run ))
+    [ (2, 962840462); (3, 209) ]
 
 let prop_t3_lattice_equals_type1 dims =
   let n = if dims = 2 then 12 else 8 in
@@ -410,4 +433,5 @@ let () =
       ( "type3",
         Qutil.to_alcotests t3_props
         @ [ Alcotest.test_case "registry filters by transform" `Quick
-              test_t3_registry_filtering ] ) ]
+              test_t3_registry_filtering ]
+        @ t3_adjointness_regressions ) ]

@@ -1166,6 +1166,203 @@ let prop_iter_window_total =
           if Float.abs dist > float_of_int w /. 2.0 +. 1e-9 then ok := false);
       !ok && !count = w)
 
+(* ------------------------------------------------------------------ *)
+(* Shared geometry tables *)
+
+module Plan = Nufft.Plan
+module Apod = Nufft.Apodization
+
+let c_built = Telemetry.Counter.make "plan.tables_built"
+let c_shared = Telemetry.Counter.make "plan.tables_shared"
+
+let with_telemetry f =
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f
+
+(* Equal geometries share both tables physically; each key component
+   splits exactly the table it keys: (kernel, w, l, precision) the
+   weight table, (kernel, w, n, g) the deapodization factors. *)
+let test_store_keys () =
+  let kb = Window.default_kaiser_bessel ~width:6 ~sigma:2.0 in
+  let base = Plan.make ~kernel:kb ~w:6 ~l:512 ~n:16 () in
+  let check what ~table ~deapod (p : Plan.plan) =
+    Alcotest.(check bool) (what ^ ": weight table shared") table
+      (p.Plan.table == base.Plan.table);
+    Alcotest.(check bool) (what ^ ": factors shared") deapod
+      (p.Plan.deapod == base.Plan.deapod)
+  in
+  check "same geometry" ~table:true ~deapod:true
+    (Plan.make ~kernel:kb ~w:6 ~l:512 ~n:16 ());
+  check "kernel" ~table:false ~deapod:false
+    (Plan.make ~kernel:(Window.default_exp_semicircle ~width:6 ~sigma:2.0)
+       ~w:6 ~l:512 ~n:16 ());
+  check "w" ~table:false ~deapod:false
+    (Plan.make ~kernel:kb ~w:7 ~l:512 ~n:16 ());
+  check "l" ~table:false ~deapod:true
+    (Plan.make ~kernel:kb ~w:6 ~l:1024 ~n:16 ());
+  check "precision" ~table:false ~deapod:true
+    (Plan.make ~kernel:kb ~w:6 ~l:512 ~table_precision:Wt.Single ~n:16 ());
+  check "n" ~table:true ~deapod:false
+    (Plan.make ~kernel:kb ~w:6 ~l:512 ~n:20 ());
+  (* Same n, kernel and w on a coarser grid: only g changes. *)
+  check "g" ~table:true ~deapod:false
+    (Plan.make ~kernel:kb ~w:6 ~l:512 ~sigma:1.5 ~n:16 ());
+  let fx = Wt.shared ~precision:Wt.Fixed16 ~kernel:kb ~width:6 ~l:512 () in
+  Alcotest.(check bool) "Fixed16 store entry shared" true
+    (fx == Wt.shared ~precision:Wt.Fixed16 ~kernel:kb ~width:6 ~l:512 ());
+  Alcotest.(check bool) "Fixed16 distinct from Double" true
+    (fx != base.Plan.table);
+  let f = Apod.shared ~kernel:kb ~width:6 ~n:16 ~g:32 in
+  Alcotest.(check bool) "factors = Apodization.factors" true
+    (f.Apod.values = Apod.factors ~kernel:kb ~width:6 ~n:16 ~g:32)
+
+(* Two domains racing on a cold geometry adopt one table and produce
+   bit-identical adjoints. *)
+let test_store_two_domains () =
+  let kernel = Window.default_kaiser_bessel ~width:5 ~sigma:2.0 in
+  let n = 18 in
+  let s = Sample.random ~seed:41 ~dims:2 ~g:(2 * n) 300 in
+  let arrived = Atomic.make 0 in
+  let run () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do
+      Domain.cpu_relax ()
+    done;
+    let p = Plan.make ~kernel ~w:5 ~l:1000 ~n () in
+    (p, Plan.adjoint_compiled p s)
+  in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let p1, a1 = Domain.join d1 and p2, a2 = Domain.join d2 in
+  Alcotest.(check bool) "one weight table" true (p1.Plan.table == p2.Plan.table);
+  Alcotest.(check bool) "one factor vector" true
+    (p1.Plan.deapod == p2.Plan.deapod);
+  for k = 0 to Cvec.length a1 - 1 do
+    if
+      Int64.bits_of_float (Cvec.unsafe_get_re a1 k)
+      <> Int64.bits_of_float (Cvec.unsafe_get_re a2 k)
+      || Int64.bits_of_float (Cvec.unsafe_get_im a1 k)
+         <> Int64.bits_of_float (Cvec.unsafe_get_im a2 k)
+    then Alcotest.failf "adjoints differ at %d" k
+  done
+
+(* The store keeps nothing alive: once a geometry's plans are gone, a
+   major GC frees its table and the next plan builds it again. A warm
+   geometry's plan allocates far less than one table. *)
+let[@inline never] plan_and_forget ~kernel ~l ~n =
+  let p = Plan.make ~kernel ~w:6 ~l ~n () in
+  let table = Weak.create 1 and factors = Weak.create 1 in
+  Weak.set table 0 (Some p.Plan.table);
+  Weak.set factors 0 (Some p.Plan.deapod);
+  (table, factors)
+
+let test_store_weak () =
+  with_telemetry @@ fun () ->
+  let kernel = Window.default_kaiser_bessel ~width:6 ~sigma:2.0 in
+  let l = 1536 and n = 22 in
+  Gc.full_major ();
+  let built0 = Telemetry.Counter.value c_built in
+  let table, factors = plan_and_forget ~kernel ~l ~n in
+  Alcotest.(check int) "cold geometry builds its table" 1
+    (Telemetry.Counter.value c_built - built0);
+  Gc.full_major ();
+  Alcotest.(check bool) "table freed" false (Weak.check table 0);
+  Alcotest.(check bool) "factors freed" false (Weak.check factors 0);
+  let built1 = Telemetry.Counter.value c_built in
+  let p = Plan.make ~kernel ~w:6 ~l ~n () in
+  Alcotest.(check int) "next plan rebuilds it" 1
+    (Telemetry.Counter.value c_built - built1);
+  let built2 = Telemetry.Counter.value c_built
+  and shared2 = Telemetry.Counter.value c_shared in
+  let before = Gc.allocated_bytes () in
+  let q = Plan.make ~kernel ~w:6 ~l ~n () in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "warm plan shares the table" true
+    (q.Plan.table == p.Plan.table);
+  Alcotest.(check int) "warm plan builds nothing" 0
+    (Telemetry.Counter.value c_built - built2);
+  Alcotest.(check int) "warm plan counts one share" 1
+    (Telemetry.Counter.value c_shared - shared2);
+  let table_bytes = float_of_int (8 * Wt.entries p.Plan.table) in
+  if bytes >= table_bytes /. 4.0 then
+    Alcotest.failf "warm Plan.make allocated %.0f bytes (table: %.0f)" bytes
+      table_bytes
+
+(* ------------------------------------------------------------------ *)
+(* Sample-plan compile = the engines' window formulas *)
+
+(* Coordinates that stress the compile's exact integer/rounding shortcuts:
+   the seam samples, u = 0 and u = pred g, window edges on integers
+   (u + w/2 integral), and distances on exact half table steps (ties of
+   the round-half-away address), with their float neighbours. *)
+let compile_probe_axes ~dims ~g ~w ~l =
+  let gf = float_of_int g and half = float_of_int w /. 2.0 in
+  let lf = float_of_int l in
+  let specials =
+    [ 0.0; Float.pred gf; Float.succ 0.0; gf -. half; half; 1.0 -. half ]
+    @ List.init 8 (fun k -> float_of_int (k + w) -. half)
+    @ List.concat_map
+        (fun j ->
+          let u = 10.0 +. ((float_of_int j +. 0.5) /. lf) in
+          [ u; Float.pred u; Float.succ u ])
+        [ 0; 1; 2; 7; (l / 2) - 1; l / 2; l - 1; 3 * l / 2 ]
+  in
+  let specials =
+    List.map (fun u -> if u < 0.0 then u +. gf else u) specials
+    |> Array.of_list
+  in
+  let k = Array.length specials in
+  let seam = Qutil.seam_samples ~seed:(w + (100 * dims)) ~dims ~g 40 in
+  Array.mapi
+    (fun a axis ->
+      Array.append axis (Array.init k (fun i -> specials.((i + a) mod k))))
+    seam.Sample.coords
+
+let test_compile_formulas () =
+  let l = 512 in
+  List.iter
+    (fun dims ->
+      for w = 2 to 16 do
+        let g = 40 in
+        let table =
+          Wt.make ~kernel:(Window.default_kaiser_bessel ~width:w ~sigma:2.0)
+            ~width:w ~l ()
+        in
+        let axes = compile_probe_axes ~dims ~g ~w ~l in
+        let sp =
+          if dims = 2 then
+            Nufft.Sample_plan.compile_2d ~table ~g ~gx:axes.(0) ~gy:axes.(1) ()
+          else
+            Nufft.Sample_plan.compile_3d ~table ~g ~gx:axes.(0) ~gy:axes.(1)
+              ~gz:axes.(2) ()
+        in
+        Array.iteri
+          (fun a coords ->
+            let stride = if a = 0 then 1 else if a = 1 then g else g * g in
+            Array.iteri
+              (fun j u ->
+                let off, wts =
+                  Nufft.Sample_plan.axis_window sp ~sample:j ~axis:a
+                in
+                let s = Coord.window_start ~w u in
+                for i = 0 to w - 1 do
+                  let ku = s + i in
+                  let want_off = Coord.wrap ~g ku * stride in
+                  let want_w = Wt.lookup table (float_of_int ku -. u) in
+                  if
+                    off.(i) <> want_off
+                    || Int64.bits_of_float wts.(i)
+                       <> Int64.bits_of_float want_w
+                  then
+                    Alcotest.failf
+                      "%dD w=%d axis %d sample %d (u = %h) point %d: (%d, %h) \
+                       <> (%d, %h)"
+                      dims w a j u i off.(i) wts.(i) want_off want_w
+                done)
+              coords)
+          axes
+      done)
+    [ 2; 3 ]
+
 let qtests =
   Qutil.to_alcotests
     [ prop_column_check; prop_engines_agree; prop_spread_interp_adjoint;
@@ -1254,4 +1451,12 @@ let () =
        [ Alcotest.test_case "factors" `Quick test_apodization_factors;
          Alcotest.test_case "dice layout bijection" `Quick
            test_dice_layout_roundtrip ]);
+      ("geom-store",
+       [ Alcotest.test_case "keys share and split" `Quick test_store_keys;
+         Alcotest.test_case "two domains, one cold geometry" `Quick
+           test_store_two_domains;
+         Alcotest.test_case "weak: rebuilt after GC" `Quick test_store_weak ]);
+      ("compile",
+       [ Alcotest.test_case "= window_start/wrap/lut bitwise" `Quick
+           test_compile_formulas ]);
       ("properties", qtests) ]

@@ -316,6 +316,73 @@ let test_table_precisions () =
       (Wt.get x a)
   done
 
+(* The staged table build (normaliser hoisted, one loop) stores exactly
+   the quantised [Window.eval] of each address's distance: every family,
+   every width, two oversamplings, all three precisions, bit for bit.
+   [Window.eval] itself is pinned to the per-point expressions it had
+   before staging (the normaliser recomputed at every point). *)
+let test_table_equals_eval_bitwise () =
+  let quantize precision x =
+    match precision with
+    | Wt.Double -> x
+    | Wt.Single -> F32.round x
+    | Wt.Fixed16 -> Fp.to_float Fp.q15 (Fp.of_float Fp.q15 x)
+  in
+  let unstaged kernel ~width t =
+    let half = float_of_int width /. 2.0 in
+    if Float.abs t >= half then 0.0
+    else
+      match kernel with
+      | Window.Kaiser_bessel beta ->
+          let u = t /. half in
+          Bessel.i0 (beta *. sqrt (1.0 -. (u *. u))) /. Bessel.i0 beta
+      | Window.Exp_semicircle beta ->
+          let u = t /. half in
+          exp (beta *. (sqrt (1.0 -. (u *. u)) -. 1.0))
+      | Window.Gaussian _ | Window.Bspline | Window.Sinc ->
+          Window.eval kernel ~width t
+  in
+  for width = 2 to 16 do
+    let kernels =
+      [ Window.default_kaiser_bessel ~width ~sigma:2.0;
+        Window.default_gaussian ~width;
+        Window.Bspline;
+        Window.Sinc;
+        Window.default_exp_semicircle ~width ~sigma:2.0 ]
+    in
+    List.iter
+      (fun kernel ->
+        List.iter
+          (fun l ->
+            let fail what a x y =
+              Alcotest.failf "%s w=%d l=%d address %d: %s %h <> %h"
+                (Window.name kernel) width l a what x y
+            in
+            let psi =
+              Array.init ((width * l / 2) + 1) (fun a ->
+                  let d = float_of_int a /. float_of_int l in
+                  let v = Window.eval kernel ~width d in
+                  let r = unstaged kernel ~width d in
+                  if Int64.bits_of_float v <> Int64.bits_of_float r then
+                    fail "eval vs unstaged" a v r;
+                  v)
+            in
+            List.iter
+              (fun precision ->
+                let t = Wt.make ~precision ~kernel ~width ~l () in
+                Alcotest.(check int) "entries" (Array.length psi)
+                  (Wt.entries t);
+                Array.iteri
+                  (fun a v ->
+                    let want = quantize precision v and got = Wt.get t a in
+                    if Int64.bits_of_float got <> Int64.bits_of_float want then
+                      fail "table vs eval" a got want)
+                  psi)
+              [ Wt.Double; Wt.Single; Wt.Fixed16 ])
+          [ 512; 4096 ])
+      kernels
+  done
+
 let test_table_validation () =
   Alcotest.check_raises "width" (Invalid_argument "Weight_table.make: width < 1")
     (fun () ->
@@ -451,7 +518,9 @@ let () =
          Alcotest.test_case "symmetric lookup" `Quick test_table_lookup_symmetric;
          Alcotest.test_case "error vs L" `Quick test_table_error_shrinks_with_l;
          Alcotest.test_case "precision variants" `Quick test_table_precisions;
-         Alcotest.test_case "validation" `Quick test_table_validation ]);
+         Alcotest.test_case "validation" `Quick test_table_validation;
+         Alcotest.test_case "staged build = Window.eval bitwise" `Quick
+           test_table_equals_eval_bitwise ]);
       ("linalg",
        [ Alcotest.test_case "identity" `Quick test_linalg_identity;
          Alcotest.test_case "random systems" `Quick test_linalg_solve_random;

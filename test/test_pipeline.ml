@@ -426,6 +426,43 @@ let test_warm_request_zero_plan_builds () =
   Alcotest.(check int) "warm request hit the operator cache" 1 s.Cache.hits;
   check_bitwise "warm image = cold image" r1.Svc.image r2.Svc.image
 
+(* Fresh trajectories of one geometry, spread over two tenants' caches:
+   every request misses its plan cache and builds a plan, but only the
+   first builds the weight table; the rest share it. *)
+let test_fresh_trajectories_share_tables () =
+  with_telemetry @@ fun () ->
+  let c_built = Telemetry.Counter.make "plan.tables_built"
+  and c_shared = Telemetry.Counter.make "plan.tables_shared" in
+  (* A geometry no other test uses (l = 768), so its table starts cold. *)
+  let n = 20 and l = 768 and k = 6 in
+  let tenant_a = Svc.create ~l () and tenant_b = Svc.create ~l () in
+  Gc.full_major ();
+  let built = Telemetry.Counter.value c_built
+  and shared = Telemetry.Counter.value c_shared in
+  for i = 0 to k - 1 do
+    let coords = Sample.random_2d ~seed:(100 + i) ~g:(2 * n) 150 in
+    let svc = if i land 1 = 0 then tenant_a else tenant_b in
+    ignore
+      (sok
+         (Svc.submit svc
+            { Svc.backend = "serial";
+              transform = Nufft.Transform.Type1;
+              n;
+              coords;
+              values = values_for coords;
+              density = None;
+              method_ = Svc.Adjoint;
+              tol = None;
+              family = None }))
+  done;
+  let misses svc = (Cache.stats (Svc.cache svc)).Cache.misses in
+  Alcotest.(check int) "every request built a plan" k
+    (misses tenant_a + misses tenant_b);
+  Alcotest.(check int) "one table built" 1
+    (Telemetry.Counter.value c_built - built);
+  Alcotest.(check int) "K - 1 tables shared" (k - 1)
+    (Telemetry.Counter.value c_shared - shared)
+
 let test_typed_errors () =
   let n = 16 in
   let _, coords = radial ~n in
@@ -742,5 +779,7 @@ let () =
             test_geometry_defaults;
           Alcotest.test_case "auto backend rule" `Quick test_auto_backend;
           Alcotest.test_case "Image 4 at full M stays resident" `Quick
-            test_image4_resident ] )
+            test_image4_resident;
+          Alcotest.test_case "fresh trajectories share geometry tables"
+            `Quick test_fresh_trajectories_share_tables ] )
     ]

@@ -499,6 +499,19 @@ let test_http_metrics () =
           checkb "404 for unknown path" true
             (String.length nf > 12 && String.sub nf 0 12 = "HTTP/1.1 404")))
 
+(* Creating a server caps the major GC's space overhead (request buffers
+   are large and short-lived) and never raises it. *)
+let test_space_overhead_cap () =
+  let before = (Gc.get ()).Gc.space_overhead in
+  ignore (S.create ());
+  let capped = (Gc.get ()).Gc.space_overhead in
+  Alcotest.(check int) "capped at 80" (min before 80) capped;
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 60 };
+  ignore (S.create ());
+  Alcotest.(check int) "a lower setting is kept" 60
+    (Gc.get ()).Gc.space_overhead;
+  Gc.set { (Gc.get ()) with Gc.space_overhead = capped }
+
 let () =
   Alcotest.run "server"
     [ ( "admission",
@@ -516,7 +529,9 @@ let () =
       ( "recon",
         [ Alcotest.test_case "end-to-end with cache and arenas" `Quick
             test_end_to_end_recon;
-          Alcotest.test_case "tenant quota" `Quick test_tenant_quota ] );
+          Alcotest.test_case "tenant quota" `Quick test_tenant_quota;
+          Alcotest.test_case "create caps the GC space overhead" `Quick
+            test_space_overhead_cap ] );
       ( "metrics",
         [ Alcotest.test_case "exposition and monotonicity" `Quick
             test_metrics_exposition;
