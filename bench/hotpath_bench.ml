@@ -116,9 +116,64 @@ let cg_case ~quick =
   ignore result.Imaging.Cg.solution;
   (n, m, result.Imaging.Cg.iterations, wall)
 
+(* Kernel rows, reported and not gated: the forward gather of a
+   compiled plan in ns per sample under scalar C and under the widest
+   vector implementation, and one 2D inverse FFT of a g^2 grid cropped
+   to n = g/2 (the adjoint's pruned transform) under the active
+   dispatch. Fixed at g = 128, m = 4000 in every mode, best of three
+   interleaved runs each. Each FFT starts from the same grid, reset by
+   a copy whose own best time is subtracted: repeated unnormalised
+   transforms would overflow to inf and NaN within ~70 calls. *)
+type kernels = {
+  k_g : int;
+  k_m : int;
+  gather_impl : string;
+  gather_scalar_ns : float;
+  gather_simd_ns : float;
+  fft_impl : string;
+  fft_us : float;
+}
+
+let kernels_case () =
+  let g = 128 and m = 4000 in
+  let n = g / 2 in
+  let plan = Nufft.Plan.make ~n () in
+  let samples = Sample.random_2d ~seed:42 ~g m in
+  let sp = Nufft.Plan.compiled plan samples in
+  let grid =
+    Cvec.init (g * g) (fun k ->
+        Numerics.Complexd.make (cos (0.01 *. float_of_int k)) 0.5)
+  in
+  let gather impl () =
+    Simd.with_impl impl (fun () ->
+        ignore (Nufft.Sample_plan.gather ~simd:true sp grid))
+  in
+  let fft_grid = Cvec.copy grid in
+  let reset () = Cvec.blit grid fft_grid in
+  let fft () =
+    reset ();
+    Fft.Fftnd.transform_cropped Fft.Dft.Inverse ~dims:2 ~g ~n fft_grid
+  in
+  let best = Array.make 4 0.0 in
+  for _ = 1 to 3 do
+    List.iteri
+      (fun i (items, f) ->
+        let per_sec, _ = measure ~m:items f in
+        best.(i) <- Float.max best.(i) per_sec)
+      [ (m, gather Simd.Scalar); (m, gather Simd.available); (1, fft);
+        (1, reset) ]
+  done;
+  { k_g = g;
+    k_m = m;
+    gather_impl = Simd.impl_name Simd.available;
+    gather_scalar_ns = 1e9 /. best.(0);
+    gather_simd_ns = 1e9 /. best.(1);
+    fft_impl = Simd.impl_name (Simd.active ());
+    fft_us = 1e6 /. best.(2) -. (1e6 /. best.(3)) }
+
 let write_json ~quick ~g ~m ~tile ~disabled_pct ~replay:(rsps, psps, domains)
     ~simd:(simd_name, scalar_sps, simd_sps, simd_required)
-    ~dispatch:(d_serial, d_sps, d_pool, d_profitable) rows
+    ~dispatch:(d_serial, d_sps, d_pool, d_profitable) ~kernels:k rows
     (svc_rps, svc_cold_ms, svc_warm_ms, svc_words, svc_m)
     (cg_n, cg_m, cg_iters, cg_wall) =
   let oc = open_out json_path in
@@ -165,6 +220,16 @@ let write_json ~quick ~g ~m ~tile ~disabled_pct ~replay:(rsps, psps, domains)
      \"required_ratio\": 0.900 },\n"
     d_serial d_sps d_pool d_profitable
     (d_sps /. d_serial);
+  p "  \"kernels\": {\n";
+  p
+    "    \"gather\": { \"g\": %d, \"m\": %d, \"impl\": %S, \
+     \"scalar_ns_per_sample\": %.2f, \"simd_ns_per_sample\": %.2f },\n"
+    k.k_g k.k_m k.gather_impl k.gather_scalar_ns k.gather_simd_ns;
+  p
+    "    \"fft_2d_cropped\": { \"g\": %d, \"n\": %d, \"impl\": %S, \
+     \"us\": %.2f }\n"
+    k.k_g (k.k_g / 2) k.fft_impl k.fft_us;
+  p "  },\n";
   p
     "  \"service\": { \"requests_per_sec\": %.1f, \"cold_plan_ms\": %.3f, \
      \"warm_request_ms\": %.3f, \"minor_words_per_request\": %.1f, \"m\": \
@@ -374,9 +439,15 @@ let run () =
     "  service (warm plan-cache serving, m=%d): %.0f req/s, cold %.3f ms, \
      warm %.3f ms, %.0f minor words/request\n"
     svc_m svc_rps svc_cold_ms svc_warm_ms svc_words;
+  let k = kernels_case () in
+  Printf.printf
+    "  kernels (g=%d, m=%d, not gated): gather %.1f ns/sample scalar, %.1f \
+     ns/sample %s; 2D cropped FFT %.1f us (%s)\n"
+    k.k_g k.k_m k.gather_scalar_ns k.gather_simd_ns k.gather_impl k.fft_us
+    k.fft_impl;
   let ((_, _, cg_iters, cg_wall) as cg) = cg_case ~quick in
   Printf.printf "  CG (compiled plan, %d iterations): %.3f s\n" cg_iters
     cg_wall;
   if !json then
     write_json ~quick ~g ~m ~tile ~disabled_pct ~replay:replay_info
-      ~simd:simd_info ~dispatch:dispatch_info rows svc cg
+      ~simd:simd_info ~dispatch:dispatch_info ~kernels:k rows svc cg

@@ -34,14 +34,16 @@ let next_pow2 n =
    first (the tables are deterministic, so the losers' work is identical
    and simply dropped).
 
-   The hit path allocates nothing: int-keyed tables (one twiddle table per
+   A power-of-two length's tables ({!Simd.fft_tables}: the bit-reversal
+   transpositions, the twiddles, and the per-stage lane-duplicated
+   twiddles of the vector kernel) are one record, so a batch pays one
+   lookup. The hit path allocates nothing: int-keyed tables (one per
    transform direction instead of an [(n, sign)] tuple key) looked up with
    [Hashtbl.find] under an exception match, so a warm serving loop pays no
    per-line closure, tuple or [Some] box. *)
 let cache_mutex = Mutex.create ()
-let twiddle_fwd : (int, float array) Hashtbl.t = Hashtbl.create 16
-let twiddle_inv : (int, float array) Hashtbl.t = Hashtbl.create 16
-let bitrev_cache : (int, int array) Hashtbl.t = Hashtbl.create 16
+let tables_fwd : (int, Simd.fft_tables) Hashtbl.t = Hashtbl.create 16
+let tables_inv : (int, Simd.fft_tables) Hashtbl.t = Hashtbl.create 16
 
 let cache_adopt cache key candidate =
   Mutex.lock cache_mutex;
@@ -66,8 +68,53 @@ let build_twiddles n sgn =
   done;
   t
 
-let twiddles n sgn =
-  let cache = if sgn < 0 then twiddle_fwd else twiddle_inv in
+(* The bit-reversal permutation as its transpositions (i, rev i) with
+   i < rev i, in increasing i. *)
+let build_swaps n =
+  let bits =
+    let rec go b m = if m = 1 then b else go (b + 1) (m / 2) in
+    go 0 n
+  in
+  let rev i =
+    let r = ref 0 and x = ref i in
+    for _ = 1 to bits do
+      r := (!r lsl 1) lor (!x land 1);
+      x := !x lsr 1
+    done;
+    !r
+  in
+  let pairs = ref [] in
+  for i = n - 1 downto 0 do
+    let j = rev i in
+    if j > i then pairs := i :: j :: !pairs
+  done;
+  Array.of_list !pairs
+
+(* Stage [len]'s twiddles, copied from [tw] and duplicated per lane in
+   the {!Simd.fft_tables} layout. *)
+let build_stages n tw =
+  let st = Array.make (max 0 ((4 * n) - 8)) 0.0 in
+  let len = ref 4 in
+  while !len <= n do
+    let base = 2 * (!len - 4) and step = n / !len in
+    for j = 0 to (!len / 2) - 1 do
+      let o = base + (4 * (j land lnot 1)) + (2 * (j land 1)) in
+      let wr = tw.(2 * j * step) and wi = tw.((2 * j * step) + 1) in
+      st.(o) <- wr;
+      st.(o + 1) <- wr;
+      st.(o + 4) <- wi;
+      st.(o + 5) <- wi
+    done;
+    len := !len * 2
+  done;
+  st
+
+let build_tables n sgn : Simd.fft_tables =
+  let twiddles = build_twiddles n sgn in
+  { n; swaps = build_swaps n; twiddles; stages = build_stages n twiddles }
+
+let tables n sgn =
+  let cache = if sgn < 0 then tables_fwd else tables_inv in
   Mutex.lock cache_mutex;
   match Hashtbl.find cache n with
   | t ->
@@ -75,42 +122,18 @@ let twiddles n sgn =
       t
   | exception Not_found ->
       Mutex.unlock cache_mutex;
-      cache_adopt cache n (build_twiddles n sgn)
-
-let build_bitrev n =
-  let bits =
-    let rec go b m = if m = 1 then b else go (b + 1) (m / 2) in
-    go 0 n
-  in
-  Array.init n (fun i ->
-      let r = ref 0 and x = ref i in
-      for _ = 1 to bits do
-        r := (!r lsl 1) lor (!x land 1);
-        x := !x lsr 1
-      done;
-      !r)
-
-let bitrev_table n =
-  Mutex.lock cache_mutex;
-  match Hashtbl.find bitrev_cache n with
-  | t ->
-      Mutex.unlock cache_mutex;
-      t
-  | exception Not_found ->
-      Mutex.unlock cache_mutex;
-      cache_adopt bitrev_cache n (build_bitrev n)
+      cache_adopt cache n (build_tables n sgn)
 
 (* One radix-2 line at complex offset [off] of a larger buffer, with the
    tables passed in (the batched callers look them up once per batch). *)
-let radix2_at v rev tw ~off ~n =
-  for i = 0 to n - 1 do
-    let j = Array.unsafe_get rev i in
-    if j > i then begin
-      let a = off + i and b = off + j in
-      let tr = get_re v a and ti = get_im v a in
-      set_parts v a (get_re v b) (get_im v b);
-      set_parts v b tr ti
-    end
+let radix2_at v (t : Simd.fft_tables) ~off =
+  let n = t.n and swaps = t.swaps and tw = t.twiddles in
+  for s = 0 to (Array.length swaps / 2) - 1 do
+    let a = off + Array.unsafe_get swaps (2 * s)
+    and b = off + Array.unsafe_get swaps ((2 * s) + 1) in
+    let tr = get_re v a and ti = get_im v a in
+    set_parts v a (get_re v b) (get_im v b);
+    set_parts v b tr ti
   done;
   let len = ref 2 in
   while !len <= n do
@@ -138,17 +161,16 @@ let radix2_at v rev tw ~off ~n =
 
 (* [count] contiguous power-of-two lines starting at complex offset
    [off]. When SIMD dispatch is on the whole batch goes through one C
-   call ({!Simd.fft_batch} mirrors the butterfly loop exactly, so the
-   result is bit-identical); otherwise each line runs the OCaml
-   butterflies in place. *)
+   call ({!Simd.fft_batch} performs the same butterflies in the same
+   order, so the result is bit-identical); otherwise each line runs the
+   OCaml butterflies in place. *)
 let radix2_lines sgn v ~off ~count ~n =
   if n > 1 && count > 0 then begin
-    let rev = bitrev_table n in
-    let tw = twiddles n sgn in
-    if Simd.enabled () then Simd.fft_batch v rev tw off count
+    let t = tables n sgn in
+    if Simd.enabled () then Simd.fft_batch v t off count
     else
       for l = 0 to count - 1 do
-        radix2_at v rev tw ~off:(off + (l * n)) ~n
+        radix2_at v t ~off:(off + (l * n))
       done
   end
 

@@ -1,7 +1,9 @@
 (** 1D complex fast Fourier transform.
 
     Power-of-two lengths use an iterative radix-2 decimation-in-time
-    transform with cached twiddle factors and bit-reversal tables; other
+    transform with its tables (bit-reversal swap list, twiddle factors,
+    the vector kernel's per-stage twiddles) cached per length and
+    direction; other
     lengths fall back to Bluestein's chirp-z algorithm (three
     power-of-two FFTs per line, with the chirp and the kernel spectrum
     cached per length and direction), so any positive length is

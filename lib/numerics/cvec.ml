@@ -3,8 +3,10 @@ module A1 = Bigarray.Array1
 
 type t = (float, Ba.float64_elt, Ba.c_layout) A1.t
 
+let create_uninit n = A1.create Ba.float64 Ba.c_layout (2 * n)
+
 let create n =
-  let v = A1.create Ba.float64 Ba.c_layout (2 * n) in
+  let v = create_uninit n in
   A1.fill v 0.0;
   v
 

@@ -19,6 +19,11 @@ type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 val create : int -> t
 (** [create n] is a zeroed vector of [n] complex elements. *)
 
+val create_uninit : int -> t
+(** [create_uninit n] is a vector of [n] complex elements with arbitrary
+    contents: it skips {!create}'s zero fill. Use it only for an output
+    the caller overwrites completely before anything reads it. *)
+
 val length : t -> int
 (** Number of complex elements. *)
 

@@ -83,7 +83,14 @@ external gather :
   = "jigsaw_simd_gather_bc" "jigsaw_simd_gather"
 [@@noalloc]
 
-external fft_batch : Cvec.t -> int array -> float array -> int -> int -> unit
+type fft_tables = {
+  n : int;
+  swaps : int array;
+  twiddles : float array;
+  stages : float array;
+}
+
+external fft_batch : Cvec.t -> fft_tables -> int -> int -> unit
   = "jigsaw_simd_fft_batch"
 [@@noalloc]
 

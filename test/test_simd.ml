@@ -171,6 +171,176 @@ let test_width_specialisation () =
     [ 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
+(* The forward accumulation order. Each sample's window rows are summed
+   row-factored — even-x taps and odd-x taps in two brackets, then the
+   last tap of an odd width — and the row sum is scaled by the row
+   weight into an accumulator that starts at 0.0. The reference below
+   is written straight from that definition over the plan's
+   [axis_window]s, each bracket starting with its first tap; the OCaml
+   replay ([Off]), every C implementation and the 2D/3D interpolation
+   loops must equal it bit for bit. A copy of the previous
+   entry-by-entry order shows the change of order moves results by
+   rounding only. *)
+
+let gather_windows sp j =
+  let dims = Sample_plan.dims sp in
+  let axis a = Sample_plan.axis_window sp ~sample:j ~axis:a in
+  let zs = if dims = 3 then axis 2 else ([| 0 |], [| 1.0 |]) in
+  (axis 0, axis 1, zs)
+
+let literal_gather sp grid =
+  let m = Sample_plan.length sp and dims = Sample_plan.dims sp in
+  let out = Cvec.create m in
+  for j = 0 to m - 1 do
+    let (ox, wx), (oy, wy), (oz, wz) = gather_windows sp j in
+    let w = Array.length ox in
+    let acc_re = ref 0.0 and acc_im = ref 0.0 in
+    Array.iteri
+      (fun iz plane ->
+        Array.iteri
+          (fun iy row_off ->
+            let row = plane + row_off in
+            let tap i =
+              ( wx.(i) *. Cvec.get_re grid (row + ox.(i)),
+                wx.(i) *. Cvec.get_im grid (row + ox.(i)) )
+            in
+            let bracket first =
+              let r = ref (tap first) in
+              let i = ref (first + 2) in
+              while !i + (1 - first) < w do
+                let tr, ti = tap !i and rr, ri = !r in
+                r := (rr +. tr, ri +. ti);
+                i := !i + 2
+              done;
+              !r
+            in
+            let (er, ei), (odr, odi) = (bracket 0, bracket 1) in
+            let rr, ri =
+              if w land 1 = 1 then
+                let tr, ti = tap (w - 1) in
+                (er +. odr +. tr, ei +. odi +. ti)
+              else (er +. odr, ei +. odi)
+            in
+            let wr = if dims = 3 then wz.(iz) *. wy.(iy) else wy.(iy) in
+            acc_re := !acc_re +. (wr *. rr);
+            acc_im := !acc_im +. (wr *. ri))
+          oy)
+      oz;
+    Cvec.set_parts out j !acc_re !acc_im
+  done;
+  out
+
+(* The order before the row factoring: one accumulator, entry by entry,
+   weight (wz*wy)*wx (wx*wy in 2D). *)
+let entry_order_gather sp grid =
+  let m = Sample_plan.length sp and dims = Sample_plan.dims sp in
+  let out = Cvec.create m in
+  for j = 0 to m - 1 do
+    let (ox, wx), (oy, wy), (oz, wz) = gather_windows sp j in
+    let acc_re = ref 0.0 and acc_im = ref 0.0 in
+    Array.iteri
+      (fun iz plane ->
+        Array.iteri
+          (fun iy row_off ->
+            Array.iteri
+              (fun ix kx ->
+                let k = plane + row_off + kx in
+                let weight =
+                  if dims = 3 then wz.(iz) *. wy.(iy) *. wx.(ix)
+                  else wx.(ix) *. wy.(iy)
+                in
+                acc_re := !acc_re +. (weight *. Cvec.get_re grid k);
+                acc_im := !acc_im +. (weight *. Cvec.get_im grid k))
+              ox)
+          oy)
+      oz;
+    Cvec.set_parts out j !acc_re !acc_im
+  done;
+  out
+
+let relative_l2 reference actual =
+  let num = ref 0.0 and den = ref 0.0 in
+  for k = 0 to (2 * Cvec.length reference) - 1 do
+    let a = Bigarray.Array1.get reference k
+    and b = Bigarray.Array1.get actual k in
+    num := !num +. ((a -. b) *. (a -. b));
+    den := !den +. (a *. a)
+  done;
+  sqrt (!num /. !den)
+
+let test_gather_order () =
+  List.iter
+    (fun dims ->
+      for w = 2 to 16 do
+        let n = if dims = 2 then 12 else 9 in
+        let plan = Plan.make ~w ~n () in
+        let g = plan.Plan.g in
+        let s = Qutil.seam_samples ~seed:(7 * w + dims) ~dims ~g 40 in
+        let sp = Plan.compiled plan s in
+        let grid = rand_cvec (Random.State.make [| w; dims |]) (Sample_plan.grid_length sp) in
+        let nm = Printf.sprintf "dims=%d w=%d" dims w in
+        let literal = literal_gather sp grid in
+        let off = Simd.with_impl Simd.Off (fun () -> Sample_plan.gather sp grid) in
+        check_bits ("Off gather = literal formula " ^ nm) literal off;
+        List.iter
+          (fun impl ->
+            Simd.with_impl impl (fun () ->
+                check_bits
+                  (Printf.sprintf "%s gather = Off %s" (Simd.impl_name impl) nm)
+                  off
+                  (Sample_plan.gather ~simd:true sp grid)))
+          impls;
+        let table = plan.Plan.table in
+        let interp =
+          if dims = 2 then
+            Nufft.Gridding.interp_2d ~table ~g ~gx:(Sample.gx s) ~gy:(Sample.gy s) grid
+          else
+            Nufft.Gridding3d.interp_3d ~table ~g ~gx:(Sample.gx s)
+              ~gy:(Sample.gy s) ~gz:(Sample.gz s) grid
+        in
+        check_bits ("interpolation loop = Off " ^ nm) off interp;
+        let drift = relative_l2 (entry_order_gather sp grid) off in
+        if not (drift <= 1e-12) then
+          Alcotest.failf "%s: relative L2 drift from the entry order %g > 1e-12"
+            nm drift
+      done)
+    [ 2; 3 ]
+
+(* [gather] writes every output slot, so skipping the zero fill of its
+   output changes nothing: on memory left dirty by freed NaN-filled
+   buffers, serial and pooled gathers still equal the literal formula
+   (an unwritten slot would read NaN or stale data). *)
+let test_gather_uninit_output () =
+  let plan = Plan.make ~n:16 () in
+  let g = plan.Plan.g in
+  let pool = Pool.create ~domains:3 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun m ->
+          let s = Qutil.seam_samples ~seed:m ~dims:2 ~g m in
+          let sp = Plan.compiled plan s in
+          let grid = rand_cvec (Random.State.make [| m |]) (g * g) in
+          let literal = literal_gather sp grid in
+          for _ = 1 to 4 do
+            let junk = Cvec.create m in
+            Bigarray.Array1.fill junk Float.nan;
+            ignore (Sys.opaque_identity junk);
+            Gc.full_major ();
+            List.iter
+              (fun impl ->
+                Simd.with_impl impl (fun () ->
+                    let nm = Printf.sprintf "%s m=%d" (Simd.impl_name impl) m in
+                    check_bits ("gather " ^ nm) literal
+                      (Sample_plan.gather ~simd:true sp grid);
+                    check_bits ("gather_parallel " ^ nm) literal
+                      (Sample_plan.gather_parallel ~pool ~simd:true sp grid)))
+              (List.sort_uniq compare (Simd.Off :: impls))
+          done)
+        [ 0; 1; 7; 300 ])
+
+(* ------------------------------------------------------------------ *)
 (* Region-sharded replay: the shard kernel streams entries strictly one
    at a time, so every pool size must stay within the ULP budget of the
    serial OCaml spread (in practice: bitwise). *)
@@ -201,10 +371,14 @@ let test_shard_replay () =
     impls
 
 (* ------------------------------------------------------------------ *)
-(* Batched butterfly lines: random power-of-two lengths (including 1 and
-   2), random line counts, random leading offset, both directions; the
-   untouched prefix and tail are part of the comparison, so an
-   out-of-range vector store fails the test. *)
+(* Batched butterfly lines: random power-of-two lengths 1 to 4096, so
+   both the lengths the vector kernel hands to scalar code (1, 2) and
+   the fused-stage path with an even and an odd number of stages after
+   the first, random line counts, random leading offset, both
+   directions; the untouched prefix and tail are part of the comparison,
+   so an out-of-range vector store fails the test. The kernels perform
+   the OCaml butterflies' operations in the same order, so every
+   implementation must match bit for bit. *)
 
 let prop_fft_batch =
   QCheck.Test.make
@@ -212,7 +386,7 @@ let prop_fft_batch =
     ~count:60
     QCheck.(
       quad (int_range 0 10_000) (* seed *)
-        (int_range 0 7) (* log2 len *)
+        (int_range 0 12) (* log2 len *)
         (int_range 1 5) (* count *)
         (pair (int_range 0 9) bool) (* leading offset, direction *))
     (fun (seed, logn, count, (off, fwd)) ->
@@ -229,7 +403,7 @@ let prop_fft_batch =
       let reference = run Simd.Off in
       List.iter
         (fun impl ->
-          check_cvec_ulp
+          check_bits
             (Printf.sprintf "fft_batch %s len=%d count=%d off=%d"
                (Simd.impl_name impl) len count off)
             reference (run impl))
@@ -334,6 +508,10 @@ let () =
             [ ("sharded replay across pools", test_shard_replay);
               ("every specialised width bitwise", test_width_specialisation) ]
       );
+      ( "gather",
+        quick
+          [ ("row-factored order bitwise", test_gather_order);
+            ("unfilled outputs unchanged", test_gather_uninit_output) ] );
       ("fft", Qutil.to_alcotests [ prop_fft_batch ]);
       ( "deapod",
         Qutil.to_alcotests [ prop_deapod_row ]
