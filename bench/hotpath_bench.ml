@@ -274,7 +274,8 @@ let run () =
     | None -> auto
     | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> auto)
   in
-  let replay, replay_parallel, replay_simd, replay_info, simd_info =
+  let replay, replay_parallel, replay_simd, replay_simd_parallel, replay_info,
+      simd_info =
     let plan =
       Nufft.Plan.make ~engine:(Nufft.Gridding.Slice_and_dice tile)
         ~n:(g / 2) ()
@@ -314,6 +315,21 @@ let run () =
     let pool = Runtime.Pool.create ~domains:replay_domains () in
     let fp () = Nufft.Sample_plan.spread_parallel ~pool sp values in
     let psps, pwords = measure ~m fp in
+    (* Ungated: SIMD replay on the same pool into the reused grid, the
+       path a pooled plan's adjoint runs. *)
+    let simd_parallel =
+      if Simd.enabled () then
+        let fsp () =
+          Nufft.Sample_plan.spread_parallel_into ~pool ~simd:true sp values
+            work
+        in
+        let s, w = measure ~m fsp in
+        Some
+          { name = "compiled-replay-simd-parallel";
+            samples_per_sec = s;
+            minor_words_per_sample = w }
+      else None
+    in
     Runtime.Pool.shutdown pool;
     let required =
       match impl with Simd.Avx2 | Simd.Neon -> 1.5 | _ -> 0.0
@@ -330,6 +346,7 @@ let run () =
              samples_per_sec = ssps;
              minor_words_per_sample = swords }
        else None),
+      simd_parallel,
       (sps, psps, replay_domains),
       (Simd.impl_name impl, sps, ssps, required) )
   in
@@ -341,6 +358,7 @@ let run () =
       replay;
       replay_parallel ]
     @ Option.to_list replay_simd
+    @ Option.to_list replay_simd_parallel
   in
   Printf.printf "  %-16s %14s %18s\n" "engine" "samples/sec"
     "minor words/sample";
@@ -401,6 +419,13 @@ let run () =
        JIGSAW_BENCH_DOMAINS>=2 for a meaningful gate)\n"
       (psps /. rsps);
   let simd_name, scalar_sps, simd_sps, simd_required = simd_info in
+  Option.iter
+    (fun r ->
+      Printf.printf
+        "  simd parallel replay (%s): %.2fx serial simd replay on %d domains \
+         (not gated)\n"
+        simd_name (r.samples_per_sec /. simd_sps) rdomains)
+    replay_simd_parallel;
   if simd_required > 0.0 then
     Printf.printf
       "  simd replay (%s): %.2fx scalar replay (required >= %.2fx)\n"

@@ -550,8 +550,8 @@ let backend_arg =
         ~doc:
           "Registered operator backend (see $(b,--list-backends)): serial, \
            output-parallel, binned, slice, slice-parallel, jigsaw-2d, \
-           gpusim-slice, gpusim-binned, ...; or $(b,auto): replay-simd when \
-           SIMD dispatch is live, serial otherwise.")
+           gpusim-slice, gpusim-binned, ...; or $(b,auto), which is serial \
+           (its replay runs the SIMD kernels whenever dispatch is live).")
 
 let list_backends_arg =
   Arg.(

@@ -203,14 +203,14 @@ let create name ctx =
              (Transform.list_to_string e.transforms));
       e.factory ctx
 
-(* The rule an empirical spread-trial tuner picked on every problem it
-   measured (n 64-256, M 4k-200k, 1-2 domains, every SIMD dispatch
-   state): SIMD replay whenever a vector kernel is dispatched, scalar
-   replay otherwise. *)
-let resolve_backend name =
-  if name <> "auto" then name
-  else if Simd.enabled () then "replay-simd"
-  else "serial"
+(* An empirical spread-trial tuner picked compiled replay on every
+   problem it measured (n 64-256, M 4k-200k, 1-2 domains, every SIMD
+   dispatch state), and every CPU plan replays through the dispatched
+   kernels, so "auto" is "serial". "replay-simd" was a registry entry
+   that built the same plan; clients may still send it. *)
+let resolve_backend = function
+  | "auto" | "replay-simd" -> "serial"
+  | name -> name
 
 (* Generic helpers over a packed operator. *)
 
@@ -386,12 +386,4 @@ let () =
         fun ~g ~w -> Gridding.Slice_and_dice (Coord.fallback_tile ~g ~w) );
       ( "slice-parallel",
         "Slice-and-Dice column-outer schedule on the domain pool",
-        fun ~g ~w -> Gridding.Slice_parallel (Coord.fallback_tile ~g ~w) );
-      (* Every CPU plan replays through the dispatched SIMD kernels, so
-         this name builds the same plan as "serial". It stays registered
-         for the "auto" rule, its conformance rows and its plan-cache
-         keys. *)
-      ( "replay-simd",
-        "compiled-plan replay, the same plan as serial (kept for the auto \
-         rule; honours JIGSAW_SIMD like every CPU backend)",
-        fun ~g:_ ~w:_ -> Gridding.Serial ) ]
+        fun ~g ~w -> Gridding.Slice_parallel (Coord.fallback_tile ~g ~w) ) ]

@@ -215,10 +215,12 @@ val create : string -> ctx -> op
     the supported set). *)
 
 val resolve_backend : string -> string
-(** [resolve_backend "auto"] is ["replay-simd"] when {!Simd.enabled} and
-    ["serial"] otherwise; any other name is returned unchanged. Both
-    build the same plan, whose replay dispatches on {!Simd.enabled}; the
-    name keys the plan cache. *)
+(** [resolve_backend "auto"] is ["serial"], as is
+    [resolve_backend "replay-simd"] (a retired registry name that built
+    the same plan, kept so clients that send it keep working); any other
+    name is returned unchanged. Every CPU plan's replay dispatches on
+    {!Simd.enabled}, so the rule needs no SIMD case, and an ["auto"] and
+    a ["serial"] request share one plan-cache entry. *)
 
 (** {2 Helpers} *)
 

@@ -1,19 +1,14 @@
 module Cvec = Numerics.Cvec
 module Wt = Numerics.Weight_table
 
-(* A shard of a region partition: the plan's entries whose target grid
-   cell lies in the contiguous row band [row_lo, row_hi) — a "row" being
-   a run of [g] consecutive flattened cells (a y-row in 2D, a (z,y)-row
-   in 3D). Entries are stored in the plan's own (sample, window-point)
-   order, so replaying a shard accumulates onto each owned cell in
-   exactly the serial order. *)
-type shard = {
-  row_lo : int;
-  row_hi : int;
-  e_smp : int array;
-  e_idx : int array;
-  e_wgt : float array;
-}
+(* A shard of a region partition: the contiguous row band
+   [row_lo, row_hi) it owns — a "row" being a run of [g] consecutive
+   flattened cells (a y-row in 2D, a (z,y)-row in 3D) — and, ascending,
+   the samples with at least one window row in that band. Replaying a
+   shard walks those samples in order and skips their window rows
+   outside the band, so it accumulates onto each owned cell in exactly
+   the serial order. *)
+type shard = { row_lo : int; row_hi : int; samples : int array }
 
 type partition = {
   requested : int;
@@ -166,9 +161,9 @@ let compile_3d ?stats ?(select_checks = 0) ~table ~g ~gx ~gy ~gz () =
 let[@inline] use_simd simd = simd && Simd.enabled ()
 
 (* The OCaml replay loops, the [JIGSAW_SIMD=off] path: one per
-   dimensionality, each walking the same rows in the same order as
-   {!iter_entries} and the C kernels. The 2D weight is [wx *. wy], the
-   serial engine's operand order. *)
+   dimensionality, each walking the same rows in the same order as the
+   C kernels. The 2D weight is [wx *. wy], the serial engine's operand
+   order. *)
 
 let replay_spread ~simd t values out =
   let w = t.w and off = t.off and wts = t.wts in
@@ -255,13 +250,14 @@ let gather ?stats ?(simd = false) t grid =
    Adjoint replay is a scatter: distinct samples hit overlapping grid
    cells, so sample-range sharding would race. Instead the *grid* is
    sharded: each shard exclusively owns a contiguous band of grid rows
-   (row = flattened index / g: a y-row in 2D, a (z,y)-row in 3D), and the
-   plan's (sample, window-point) entry stream is re-bucketed once so each
-   shard holds exactly the entries landing in its band, still in plan
-   order. Every grid cell then has exactly one writer — no atomics, no
-   per-domain grid copies to merge — and each cell receives its
-   contributions in serial order, so the parallel result is bit-identical
-   to serial replay for any shard count.
+   (row = flattened index / g: a y-row in 2D, a (z,y)-row in 3D) and
+   lists, ascending, the samples whose window rows touch its band — the
+   layout of cuFINUFFT's subproblem spreading. A shard replays its
+   samples through the factored spread, skipping every window row
+   outside its band. Every grid cell then has exactly one writer — no
+   atomics, no per-domain grid copies to merge — and receives its
+   contributions in serial order, so the parallel result is
+   bit-identical to serial replay for any shard count.
 
    Band cuts are chosen by greedy entry-mass balancing over a per-row
    entry histogram (cuFINUFFT-style load-balanced binning): dense
@@ -269,23 +265,24 @@ let gather ?stats ?(simd = false) t grid =
    wide ones. Each shard is guaranteed at least one row; the shard count
    is clamped to the row count. *)
 
-(* [iter_entries t j f] calls [f cell weight] for each window entry of
-   sample [j] in replay order, with replay's index sum and weight
-   product — the expanded (index, weight) stream the shards store. *)
-let iter_entries t j f =
-  let w = t.w and off = t.off and wts = t.wts in
-  let bx = j * t.dims * w in
-  let by = bx + w in
-  let bz = by + w in
-  for iz = 0 to (if t.dims = 3 then w else 1) - 1 do
-    let plane = if t.dims = 3 then off.(bz + iz) else 0 in
-    let wz = if t.dims = 3 then wts.(bz + iz) else 1.0 in
-    for iy = 0 to w - 1 do
-      let row = plane + off.(by + iy) and wr = wz *. wts.(by + iy) in
-      for ix = 0 to w - 1 do
-        f (row + off.(bx + ix)) (wr *. wts.(bx + ix))
+(* [iter_window_rows t f] calls [f j base] for every window row of every
+   sample [j], in replay order, with the row's base cell [plane + row];
+   the row's [w] cells all lie in grid row [base / g]. *)
+let iter_window_rows t f =
+  let w = t.w and off = t.off in
+  let span = t.dims * w in
+  for j = 0 to t.m - 1 do
+    let by = (j * span) + w in
+    if t.dims = 2 then
+      for iy = by to by + w - 1 do
+        f j off.(iy)
       done
-    done
+    else
+      for iz = by + w to by + (2 * w) - 1 do
+        for iy = by to by + w - 1 do
+          f j (off.(iz) + off.(iy))
+        done
+      done
   done
 
 let build_partition t ~requested =
@@ -294,10 +291,11 @@ let build_partition t ~requested =
   let rows = pow g (t.dims - 1) in
   let n = max 1 (min requested rows) in
   let total = t.m * t.points in
+  (* Entries per grid row: each window row puts [w] entries in its row. *)
   let hist = Array.make rows 0 in
-  for j = 0 to t.m - 1 do
-    iter_entries t j (fun k _ -> hist.(k / g) <- hist.(k / g) + 1)
-  done;
+  iter_window_rows t (fun _ base ->
+      let r = base / g in
+      hist.(r) <- hist.(r) + t.w);
   (* Greedy cuts: shard s owns rows [cuts.(s), cuts.(s+1)). Advance each
      cut until accumulated entry mass reaches the s-th balanced target,
      but never past [rows - remaining_shards] so every later shard keeps
@@ -319,35 +317,32 @@ let build_partition t ~requested =
   done;
   cuts.(n - 1) <- !row;
   let owner = Array.make rows 0 in
-  let counts = Array.make n 0 in
   for s = 0 to n - 1 do
-    let c = ref 0 in
-    for r = cuts.(s) to cuts.(s + 1) - 1 do
-      Array.unsafe_set owner r s;
-      c := !c + Array.unsafe_get hist r
-    done;
-    counts.(s) <- !c
+    Array.fill owner cuts.(s) (cuts.(s + 1) - cuts.(s)) s
   done;
+  (* Two passes over the window rows, the first sizing each shard's list
+     and the second filling it; a sample joins a shard once, at its first
+     row in the band, so every list is ascending. *)
+  let fill = Array.make n 0 and last = Array.make n (-1) in
+  let each_member f =
+    Array.fill last 0 n (-1);
+    iter_window_rows t (fun j base ->
+        let s = owner.(base / g) in
+        if last.(s) <> j then begin
+          last.(s) <- j;
+          f s j
+        end)
+  in
+  each_member (fun s _ -> fill.(s) <- fill.(s) + 1);
+  let lists = Array.map (fun c -> Array.make c 0) fill in
+  Array.fill fill 0 n 0;
+  each_member (fun s j ->
+      lists.(s).(fill.(s)) <- j;
+      fill.(s) <- fill.(s) + 1);
   let shards =
     Array.init n (fun s ->
-        { row_lo = cuts.(s);
-          row_hi = cuts.(s + 1);
-          e_smp = Array.make counts.(s) 0;
-          e_idx = Array.make counts.(s) 0;
-          e_wgt = Array.make counts.(s) 0.0 })
+        { row_lo = cuts.(s); row_hi = cuts.(s + 1); samples = lists.(s) })
   in
-  (* Bucket the entry stream in plan order, so each shard's entries stay
-     sample-monotonic (the bit-identity invariant). *)
-  let fill = Array.make n 0 in
-  for j = 0 to t.m - 1 do
-    iter_entries t j (fun k weight ->
-        let s = owner.(k / g) in
-        let sh = shards.(s) and f = fill.(s) in
-        sh.e_smp.(f) <- j;
-        sh.e_idx.(f) <- k;
-        sh.e_wgt.(f) <- weight;
-        fill.(s) <- f + 1)
-  done;
   Gridding_stats.end_span sp;
   { requested; p_rows = rows; shards }
 
@@ -374,22 +369,41 @@ let partition_requested p = p.requested
 let partition_rows p = p.p_rows
 let partition_shards p = Array.length p.shards
 let shard_rows p s = (p.shards.(s).row_lo, p.shards.(s).row_hi)
-let shard_length p s = Array.length p.shards.(s).e_idx
+let shard_samples p s = Array.copy p.shards.(s).samples
 
-let shard_entry p s e =
-  let sh = p.shards.(s) in
-  (sh.e_smp.(e), sh.e_idx.(e), sh.e_wgt.(e))
-
-let replay_shard ~simd sh values out =
-  if use_simd simd then Simd.spread_shard values sh.e_smp sh.e_idx sh.e_wgt out
+(* One shard: its samples through the factored spread, window rows
+   outside the band skipped. The OCaml loop walks 2D as the one-plane
+   case of 3D with [wz = 1.0]: [(1.0 *. wy) *. wx] is exactly the serial
+   loop's [wx *. wy]. *)
+let replay_shard ~simd t sh values out =
+  let lo = sh.row_lo * t.g and hi = sh.row_hi * t.g in
+  let samples = sh.samples in
+  if use_simd simd then
+    Simd.spread_band values t.off t.wts t.dims samples lo hi out
   else begin
-    let n = Array.length sh.e_idx in
-    let e_smp = sh.e_smp and e_idx = sh.e_idx and e_wgt = sh.e_wgt in
-    for e = 0 to n - 1 do
-      let j = Array.unsafe_get e_smp e in
-      let k = Array.unsafe_get e_idx e in
-      let weight = Array.unsafe_get e_wgt e in
-      acc_parts out k (weight *. get_re values j) (weight *. get_im values j)
+    let w = t.w and off = t.off and wts = t.wts in
+    let span = t.dims * w in
+    let nz = if t.dims = 3 then w else 1 in
+    for i = 0 to Array.length samples - 1 do
+      let j = Array.unsafe_get samples i in
+      let vr = get_re values j and vi = get_im values j in
+      let bx = j * span in
+      let by = bx + w in
+      for iz = by + w to by + w + nz - 1 do
+        let plane = if t.dims = 3 then Array.unsafe_get off iz else 0 in
+        let wz = if t.dims = 3 then Array.unsafe_get wts iz else 1.0 in
+        for iy = by to by + w - 1 do
+          let row = plane + Array.unsafe_get off iy in
+          if row >= lo && row < hi then begin
+            let wyz = wz *. Array.unsafe_get wts iy in
+            for ix = bx to bx + w - 1 do
+              let k = row + Array.unsafe_get off ix in
+              let weight = wyz *. Array.unsafe_get wts ix in
+              acc_parts out k (weight *. vr) (weight *. vi)
+            done
+          end
+        done
+      done
     done
   end
 
@@ -409,7 +423,7 @@ let spread_parallel_into ?stats ?pool ?(simd = false) t values out =
          time), so per-shard dispatch is the right granularity. *)
       Runtime.Pool.parallel_for ~chunk:1 p ~start:0
         ~stop:(Array.length part.shards) (fun s ->
-          replay_shard ~simd (Array.unsafe_get part.shards s) values out)
+          replay_shard ~simd t (Array.unsafe_get part.shards s) values out)
   | _ -> replay_spread ~simd t values out);
   add_stats stats ~samples:t.m ~checks:0 ~evals:0 ~accums:(t.m * t.points)
 

@@ -62,7 +62,9 @@ val grid_length : t -> int
 
 val memory_words : t -> int
 (** Footprint of the compiled arrays, in words: [2 * m * dims * w] plus
-    a constant. A cached region {!partition} is not included. *)
+    a constant. A cached region {!partition} is not included; it costs
+    about [m * (1 + e)] words more, one per sample plus one per sample
+    whose window spans a band edge. *)
 
 val axis_window : t -> sample:int -> axis:int -> int array * float array
 (** [axis_window t ~sample ~axis] is a copy of the [w] stored entries of
@@ -145,20 +147,22 @@ val gather :
     [g^(dims-1)] grid rows (a row is [g] consecutive flattened cells — a
     y-row in 2D, a (z,y)-row in 3D) are cut into contiguous bands, one
     per shard, with cuts placed by greedy entry-mass balancing over a
-    per-row histogram. Each shard holds exactly the plan entries landing
-    in its band as an expanded (sample, index, weight) stream, enumerated
-    from the factored windows in plan (sample, window-point) order with
-    replay's index sum and weight product; every grid cell
-    has one exclusive writer and receives its contributions in serial
-    order, so parallel replay is bit-identical to {!spread} for every
-    shard count — no atomics, no privatized grids to merge.
+    per-row histogram. Each shard keeps its band and, ascending, the
+    indices of the samples with a window row in it — cuFINUFFT's
+    subproblem layout, about [m * (1 + e)] words for the whole
+    partition. A shard replays its samples through the factored spread
+    ({!Simd.spread_band} when SIMD dispatch is active) and skips every
+    window row outside its band, so every grid cell has one exclusive
+    writer and receives its contributions in serial order, as the
+    serial products: parallel replay is bit-identical to {!spread} for
+    every shard count — no atomics, no privatized grids to merge.
 
     The partition is built once per (plan, shard count) and cached inside
     the plan under a mutex, so repeated parallel replays (CG iterations,
     service requests on a cached plan) pay the bucketing pass once. *)
 
 type partition
-(** A region-ownership decomposition of a plan's entry stream. *)
+(** A region-ownership decomposition of a plan's grid rows. *)
 
 val partition : t -> shards:int -> partition
 (** [partition t ~shards] returns the cached partition for [shards]
@@ -179,14 +183,10 @@ val shard_rows : partition -> int -> int * int
 (** [shard_rows p s] is shard [s]'s owned row band [(lo, hi)), with
     [hi] exclusive. Bands tile [0, rows) in order. *)
 
-val shard_length : partition -> int -> int
-(** Number of plan entries bucketed into shard [s]; shard lengths sum to
-    [length t * points_per_sample t]. *)
-
-val shard_entry : partition -> int -> int -> int * int * float
-(** [shard_entry p s e] is entry [e] of shard [s] as
-    [(sample, flat grid index, weight)] — introspection for the
-    coverage/ownership property tests. *)
+val shard_samples : partition -> int -> int array
+(** [shard_samples p s] is a copy of shard [s]'s sample list: strictly
+    ascending, and holding sample [j] exactly when one of [j]'s window
+    rows lies in shard [s]'s band. *)
 
 val spread_parallel :
   ?stats:Gridding_stats.t ->
@@ -199,9 +199,8 @@ val spread_parallel :
     cached partition replayed across [pool]'s domains. Bit-identical to
     {!spread} for every pool size. Without a pool (or with a pool of
     size 1, or a shut-down pool) replays serially without building a
-    partition. [simd] replays each shard's entry stream through the
-    {!Simd.spread_shard} kernel (strictly sequential per entry, so the
-    single-writer bit-identity argument is untouched). *)
+    partition. [simd] replays each shard through {!Simd.spread_band},
+    the shard instance of the {!Simd.spread} kernel body. *)
 
 val spread_parallel_into :
   ?stats:Gridding_stats.t ->

@@ -33,9 +33,9 @@ type method_ =
 
 type request = {
   backend : string;
-      (** registered operator backend name, or ["auto"]: resolved by
-          {!Nufft.Operator.resolve_backend} to ["replay-simd"] when SIMD
-          dispatch is live and ["serial"] otherwise *)
+      (** registered operator backend name, or ["auto"] (or the retired
+          ["replay-simd"]): resolved by {!Nufft.Operator.resolve_backend}
+          to ["serial"], whose replay dispatches on the SIMD state *)
   transform : Nufft.Transform.t;
       (** which transform to apply. [Type1] is the reconstruction path
           (adjoint or CG); [Type2] evaluates the request's [values] — an

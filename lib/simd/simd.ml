@@ -73,9 +73,9 @@ external spread : Cvec.t -> int array -> float array -> int -> Cvec.t -> unit
   = "jigsaw_simd_spread"
 [@@noalloc]
 
-external spread_shard :
-  Cvec.t -> int array -> int array -> float array -> Cvec.t -> unit
-  = "jigsaw_simd_spread_shard"
+external spread_band :
+  Cvec.t -> int array -> float array -> int -> int array -> int -> int ->
+  Cvec.t -> unit = "jigsaw_simd_spread_band_bc" "jigsaw_simd_spread_band"
 [@@noalloc]
 
 external gather :

@@ -66,14 +66,24 @@ external spread :
     [out.(plane + row + kx) += ((wz *. wy) *. wx) * values.(j)] (complex
     += real * complex; [wy *. wx] in 2D). [out] is not zeroed. *)
 
-external spread_shard :
-  Numerics.Cvec.t -> int array -> int array -> float array -> Numerics.Cvec.t -> unit
-  = "jigsaw_simd_spread_shard"
+external spread_band :
+  Numerics.Cvec.t ->
+  int array ->
+  float array ->
+  int ->
+  int array ->
+  int ->
+  int ->
+  Numerics.Cvec.t ->
+  unit = "jigsaw_simd_spread_band_bc" "jigsaw_simd_spread_band"
 [@@noalloc]
-(** [spread_shard values smp idx wgt out] — the region-sharded replay
-    stream: entry [e] accumulates [wgt.(e) * values.(smp.(e))] onto
-    [out.(idx.(e))], strictly one entry at a time (adjacent entries may
-    target the same cell; serial order is the bit-identity contract). *)
+(** [spread_band values off wts dims samples lo hi out] — {!spread}
+    restricted to one region shard: it replays only the samples listed
+    in [samples] (ascending), and of each window only the rows whose
+    base cell [plane + row] lies in [[lo, hi)) (flattened cell indices;
+    a band of whole rows, so multiples of [g]). The same source body as
+    {!spread}, so every cell in the band receives the serial
+    contributions, products and order. *)
 
 external gather :
   Numerics.Cvec.t -> int array -> float array -> int -> Numerics.Cvec.t -> int -> int -> unit

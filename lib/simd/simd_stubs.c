@@ -23,10 +23,10 @@
  *    distinct); a row that crosses the wrap seam updates one cell at a
  *    time in entry order, so even a repeated target cell accumulates in
  *    the scalar order;
- *  - shard replay streams entries strictly one at a time: adjacent
- *    entries of a shard can come from different samples yet target the
- *    same cell, and the region-ownership bit-identity guarantee needs
- *    serial accumulation order per cell;
+ *  - shard replay runs the serial spread body over the shard's sample
+ *    list, ascending, and skips the window rows outside the shard's
+ *    band, so every cell of the band still receives its contributions
+ *    in serial order (the region-ownership bit-identity guarantee);
  *  - gather is row-factored in every implementation (the OCaml loops
  *    too, see Gridding_serial.gather_sample): per window row the even-x
  *    and odd-x taps sum in two brackets, left to right, the last tap of
@@ -140,14 +140,27 @@ static inline long nplanes(long dims, long w) { return dims == 3 ? w : 1; }
     }                                                                \
   } while (0)
 
-/* Replay spread: out[cell] += weight * values[j] for every entry. */
+/* Replay spread: out[cell] += weight * values[j] for every entry.
+ *
+ * Each implementation has one spread body, instantiated twice through
+ * its [band] argument, a constant at every call site:
+ *  - serial (band = 0): samples 0..n-1 and every window row, the
+ *    unclipped loop;
+ *  - shard (band = 1): the n samples listed in [smp], ascending, and of
+ *    each window only the rows whose base cell plane + row lies in the
+ *    shard's cell range [lo, hi) — the region-sharded replay of
+ *    Sample_plan.spread_parallel. Every cell of the band receives its
+ *    contributions in sample order and, within a sample, in window
+ *    order, as the serial instance's products: the same bits. */
 
 INLINE void spread_scalar_body(const double *vals, value off,
-                               const double *wts, double *out, long m,
-                               long dims, long w)
+                               const double *wts, double *out, long dims,
+                               long w, int band, const value *smp, long n,
+                               long lo, long hi)
 {
   long span = dims * w, nz = nplanes(dims, w);
-  for (long j = 0; j < m; j++) {
+  for (long i = 0; i < n; i++) {
+    long j = band ? Long_val(smp[i]) : i;
     double vr = vals[2 * j], vi = vals[2 * j + 1];
     long bx = j * span, by = bx + w, bz = by + w;
     for (long iz = 0; iz < nz; iz++) {
@@ -155,6 +168,7 @@ INLINE void spread_scalar_body(const double *vals, value off,
       double wz = dims == 3 ? wts[bz + iz] : 1.0;
       for (long iy = 0; iy < w; iy++) {
         long row = plane + IDX(off, by + iy);
+        if (band && (row < lo || row >= hi)) continue;
         double wr = wz * wts[by + iy];
         for (long ix = 0; ix < w; ix++) {
           long k = row + IDX(off, bx + ix);
@@ -167,12 +181,28 @@ INLINE void spread_scalar_body(const double *vals, value off,
   }
 }
 
+/* Both instances of the body named by SPREAD_BODY, each specialised per
+ * (dims, w): the shard instance when a sample list is given ([smp] is
+ * NULL for serial replay). */
+#define SERIAL_BODY(D, W) \
+  SPREAD_BODY(vals, off, wts, out, D, W, 0, smp, n, lo, hi)
+#define SHARD_BODY(D, W) \
+  SPREAD_BODY(vals, off, wts, out, D, W, 1, smp, n, lo, hi)
+#define SPREAD_INSTANCES()                                             \
+  do {                                                                 \
+    if (smp)                                                           \
+      SPECIALISE(SHARD_BODY, dims, w);                                 \
+    else                                                               \
+      SPECIALISE(SERIAL_BODY, dims, w);                                \
+  } while (0)
+
 static void spread_scalar(const double *vals, value off, const double *wts,
-                          double *out, long m, long dims, long w)
+                          double *out, long dims, long w, const value *smp,
+                          long n, long lo, long hi)
 {
-#define BODY(D, W) spread_scalar_body(vals, off, wts, out, m, D, W)
-  SPECIALISE(BODY, dims, w);
-#undef BODY
+#define SPREAD_BODY spread_scalar_body
+  SPREAD_INSTANCES();
+#undef SPREAD_BODY
 }
 
 #ifdef JIGSAW_SIMD_X86
@@ -185,13 +215,15 @@ static void spread_scalar(const double *vals, value off, const double *wts,
 #define AVX2 __attribute__((target("avx2")))
 
 INLINE AVX2 void spread_avx2_body(const double *vals, value off,
-                                  const double *wts, double *out, long m,
-                                  long dims, long w)
+                                  const double *wts, double *out, long dims,
+                                  long w, int band, const value *smp, long n,
+                                  long lo, long hi)
 {
   long span = dims * w, nz = nplanes(dims, w), pairs = w / 2;
   __m256d wxx[w / 2 + 1];
   long kx[w];
-  for (long j = 0; j < m; j++) {
+  for (long i = 0; i < n; i++) {
+    long j = band ? Long_val(smp[i]) : i;
     __m128d v = _mm_loadu_pd(vals + 2 * j);
     __m256d vv = _mm256_broadcast_pd((const __m128d *)(vals + 2 * j));
     long bx = j * span, by = bx + w, bz = by + w;
@@ -209,6 +241,7 @@ INLINE AVX2 void spread_avx2_body(const double *vals, value off,
 #pragma GCC unroll 16
       for (long iy = 0; iy < w; iy++) {
         long row = plane + IDX(off, by + iy);
+        if (band && (row < lo || row >= hi)) continue;
         double wr = wz * wts[by + iy];
         if (contiguous) {
           __m256d wr4 = _mm256_set1_pd(wr);
@@ -239,24 +272,27 @@ INLINE AVX2 void spread_avx2_body(const double *vals, value off,
 }
 
 static AVX2 void spread_avx2(const double *vals, value off, const double *wts,
-                             double *out, long m, long dims, long w)
+                             double *out, long dims, long w, const value *smp,
+                             long n, long lo, long hi)
 {
   if (w > MAX_W) {
-    spread_scalar(vals, off, wts, out, m, dims, w);
+    spread_scalar(vals, off, wts, out, dims, w, smp, n, lo, hi);
     return;
   }
-#define BODY(D, W) spread_avx2_body(vals, off, wts, out, m, D, W)
-  SPECIALISE(BODY, dims, w);
-#undef BODY
+#define SPREAD_BODY spread_avx2_body
+  SPREAD_INSTANCES();
+#undef SPREAD_BODY
 }
 #endif
 
 #ifdef JIGSAW_SIMD_NEON
 INLINE void spread_neon_body(const double *vals, value off, const double *wts,
-                             double *out, long m, long dims, long w)
+                             double *out, long dims, long w, int band,
+                             const value *smp, long n, long lo, long hi)
 {
   long span = dims * w, nz = nplanes(dims, w);
-  for (long j = 0; j < m; j++) {
+  for (long i = 0; i < n; i++) {
+    long j = band ? Long_val(smp[i]) : i;
     float64x2_t v = vld1q_f64(vals + 2 * j);
     long bx = j * span, by = bx + w, bz = by + w;
     for (long iz = 0; iz < nz; iz++) {
@@ -264,6 +300,7 @@ INLINE void spread_neon_body(const double *vals, value off, const double *wts,
       double wz = dims == 3 ? wts[bz + iz] : 1.0;
       for (long iy = 0; iy < w; iy++) {
         long row = plane + IDX(off, by + iy);
+        if (band && (row < lo || row >= hi)) continue;
         double wr = wz * wts[by + iy];
         for (long ix = 0; ix < w; ix++) {
           double *c = out + 2 * (row + IDX(off, bx + ix));
@@ -276,100 +313,67 @@ INLINE void spread_neon_body(const double *vals, value off, const double *wts,
 }
 
 static void spread_neon(const double *vals, value off, const double *wts,
-                        double *out, long m, long dims, long w)
+                        double *out, long dims, long w, const value *smp,
+                        long n, long lo, long hi)
 {
-#define BODY(D, W) spread_neon_body(vals, off, wts, out, m, D, W)
-  SPECIALISE(BODY, dims, w);
-#undef BODY
+#define SPREAD_BODY spread_neon_body
+  SPREAD_INSTANCES();
+#undef SPREAD_BODY
 }
 #endif
+
+/* Dispatch one replay over the plan of [values]' m samples: n samples,
+ * from [smp] when it is not NULL, clipped to cells [lo, hi) then. */
+static void spread_dispatch(value values, value off, value wts, value dims,
+                            const value *smp, long n, long lo, long hi,
+                            value out)
+{
+  long m = (long)Caml_ba_array_val(values)->dim[0] / 2;
+  long d = Long_val(dims);
+  if (m == 0 || n == 0) return;
+  long w = (long)Wosize_val(off) / (m * d);
+  if (w == 0) return;
+  const double *vals = (const double *)Caml_ba_data_val(values);
+  double *o = (double *)Caml_ba_data_val(out);
+  switch (jigsaw_simd_impl) {
+#ifdef JIGSAW_SIMD_X86
+  case IMPL_AVX2:
+    spread_avx2(vals, off, FLOATS(wts), o, d, w, smp, n, lo, hi);
+    break;
+#endif
+#ifdef JIGSAW_SIMD_NEON
+  case IMPL_NEON:
+    spread_neon(vals, off, FLOATS(wts), o, d, w, smp, n, lo, hi);
+    break;
+#endif
+  default: spread_scalar(vals, off, FLOATS(wts), o, d, w, smp, n, lo, hi);
+  }
+}
 
 CAMLprim value jigsaw_simd_spread(value values, value off, value wts,
                                   value dims, value out)
 {
   long m = (long)Caml_ba_array_val(values)->dim[0] / 2;
-  long d = Long_val(dims);
-  if (m == 0) return Val_unit;
-  long w = (long)Wosize_val(off) / (m * d);
-  if (w == 0) return Val_unit;
-  const double *vals = (const double *)Caml_ba_data_val(values);
-  double *o = (double *)Caml_ba_data_val(out);
-  switch (jigsaw_simd_impl) {
-#ifdef JIGSAW_SIMD_X86
-  case IMPL_AVX2: spread_avx2(vals, off, FLOATS(wts), o, m, d, w); break;
-#endif
-#ifdef JIGSAW_SIMD_NEON
-  case IMPL_NEON: spread_neon(vals, off, FLOATS(wts), o, m, d, w); break;
-#endif
-  default: spread_scalar(vals, off, FLOATS(wts), o, m, d, w); break;
-  }
+  spread_dispatch(values, off, wts, dims, NULL, m, 0, 0, out);
   return Val_unit;
 }
 
-/* ------------------------------------------------------------------ */
-/* Shard replay: the region-sharded entry stream (sample, index,
- * weight). Entries are processed strictly one at a time — adjacent
- * entries from different samples may target the same cell, and the
- * bit-identity contract requires serial accumulation order per cell. */
-
-static void shard_scalar(const double *vals, value smp, value idx,
-                         const double *wgt, double *out, long n)
+CAMLprim value jigsaw_simd_spread_band(value values, value off, value wts,
+                                       value dims, value smp, value lo,
+                                       value hi, value out)
 {
-  for (long e = 0; e < n; e++) {
-    long j = IDX(smp, e);
-    long k = IDX(idx, e);
-    double w = wgt[e];
-    out[2 * k] += w * vals[2 * j];
-    out[2 * k + 1] += w * vals[2 * j + 1];
-  }
-}
-
-#ifdef JIGSAW_SIMD_X86
-__attribute__((target("avx2"))) static void
-shard_avx2(const double *vals, value smp, value idx, const double *wgt,
-           double *out, long n)
-{
-  for (long e = 0; e < n; e++) {
-    long j = IDX(smp, e);
-    long k = IDX(idx, e);
-    __m128d w = _mm_loaddup_pd(wgt + e);
-    __m128d v = _mm_loadu_pd(vals + 2 * j);
-    _mm_storeu_pd(out + 2 * k,
-                  _mm_add_pd(_mm_loadu_pd(out + 2 * k), _mm_mul_pd(w, v)));
-  }
-}
-#endif
-
-#ifdef JIGSAW_SIMD_NEON
-static void shard_neon(const double *vals, value smp, value idx,
-                       const double *wgt, double *out, long n)
-{
-  for (long e = 0; e < n; e++) {
-    long j = IDX(smp, e);
-    long k = IDX(idx, e);
-    float64x2_t w = vdupq_n_f64(wgt[e]);
-    float64x2_t v = vld1q_f64(vals + 2 * j);
-    vst1q_f64(out + 2 * k, vaddq_f64(vld1q_f64(out + 2 * k), vmulq_f64(w, v)));
-  }
-}
-#endif
-
-CAMLprim value jigsaw_simd_spread_shard(value values, value smp, value idx,
-                                        value wgt, value out)
-{
-  long n = (long)Wosize_val(idx);
-  const double *vals = (const double *)Caml_ba_data_val(values);
-  double *o = (double *)Caml_ba_data_val(out);
-  switch (jigsaw_simd_impl) {
-#ifdef JIGSAW_SIMD_X86
-  case IMPL_AVX2: shard_avx2(vals, smp, idx, FLOATS(wgt), o, n); break;
-#endif
-#ifdef JIGSAW_SIMD_NEON
-  case IMPL_NEON: shard_neon(vals, smp, idx, FLOATS(wgt), o, n); break;
-#endif
-  default: shard_scalar(vals, smp, idx, FLOATS(wgt), o, n); break;
-  }
+  long n = (long)Wosize_val(smp);
+  if (n > 0)
+    spread_dispatch(values, off, wts, dims, Op_val(smp), n, Long_val(lo),
+                    Long_val(hi), out);
   return Val_unit;
+}
+
+CAMLprim value jigsaw_simd_spread_band_bc(value *argv, int argn)
+{
+  (void)argn;
+  return jigsaw_simd_spread_band(argv[0], argv[1], argv[2], argv[3], argv[4],
+                                 argv[5], argv[6], argv[7]);
 }
 
 /* ------------------------------------------------------------------ */

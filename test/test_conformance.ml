@@ -72,7 +72,13 @@ type mode = Default | Es_tol
 let mode_name = function Default -> "" | Es_tol -> " [es tol=1e-4]"
 let all_modes = [ Default; Es_tol ]
 
+(* Names a client may send besides the registry's: a retired registry
+   name that {!Op.resolve_backend} maps onto an entry. The identities
+   must hold through that mapping too. *)
+let retired_names = [ "replay-simd" ]
+
 let mk_op mode name ~n coords =
+  let name = Op.resolve_backend name in
   match mode with
   | Default -> Op.create name (Op.context ~n ~coords ())
   | Es_tol ->
@@ -423,7 +429,7 @@ let all_props =
               [ prop_linearity mode name dims;
                 prop_adjointness mode name dims;
                 prop_phase_ramp mode name dims ])
-            (Op.names ~dims ()))
+            (Op.names ~dims () @ retired_names))
         [ 2; 3 ])
     all_modes
 

@@ -150,14 +150,14 @@ let test_backend_bitwise () =
 (* ------------------------------------------------------------------ *)
 (* Partition invariants. *)
 
-(* Exhaustive audit of one partition: bands tile the rows, every plan
-   entry appears exactly once in the shard owning its row, shard entry
-   streams are sample-monotonic (serial order), and per-sample entry
-   counts are exactly points_per_sample. *)
+(* Exhaustive audit of one partition: bands tile the rows, every shard's
+   sample list is strictly ascending (serial order), and sample j is in
+   shard s exactly when one of j's window rows — read back through
+   [axis_window] — lies in s's band. *)
 let audit_partition sp part =
   let g = Sample_plan.grid sp in
   let m = Sample_plan.length sp in
-  let points = Sample_plan.points_per_sample sp in
+  let dims = Sample_plan.dims sp in
   let rows = Sample_plan.partition_rows part in
   let shards = Sample_plan.partition_shards part in
   if shards < 1 then Alcotest.failf "no shards";
@@ -172,35 +172,33 @@ let audit_partition sp part =
   done;
   if !expect_lo <> rows then
     Alcotest.failf "bands cover %d of %d rows" !expect_lo rows;
-  (* every entry exactly once, in the owning shard, sample-monotonic *)
-  let per_sample = Array.make m 0 in
-  let total = ref 0 in
+  let window_rows j =
+    let rows_of a = fst (Sample_plan.axis_window sp ~sample:j ~axis:a) in
+    let planes = if dims = 3 then rows_of 2 else [| 0 |] in
+    Array.concat
+      (Array.to_list
+         (Array.map (fun p -> Array.map (fun r -> (p + r) / g) (rows_of 1))
+            planes))
+  in
   for s = 0 to shards - 1 do
     let lo, hi = Sample_plan.shard_rows part s in
-    let len = Sample_plan.shard_length part s in
-    let last_sample = ref (-1) in
-    for e = 0 to len - 1 do
-      let smp, k, _w = Sample_plan.shard_entry part s e in
-      let r = k / g in
-      if r < lo || r >= hi then
-        Alcotest.failf "shard %d entry %d: row %d outside band [%d,%d)" s e r
-          lo hi;
-      if smp < !last_sample then
-        Alcotest.failf "shard %d entry %d: sample order %d after %d" s e smp
-          !last_sample;
-      last_sample := smp;
-      per_sample.(smp) <- per_sample.(smp) + 1;
-      incr total
+    let samples = Sample_plan.shard_samples part s in
+    Array.iteri
+      (fun i j ->
+        if i > 0 && j <= samples.(i - 1) then
+          Alcotest.failf "shard %d: sample %d listed after %d" s j
+            samples.(i - 1))
+      samples;
+    let listed = Array.make m false in
+    Array.iter (fun j -> listed.(j) <- true) samples;
+    for j = 0 to m - 1 do
+      let touches = Array.exists (fun r -> lo <= r && r < hi) (window_rows j) in
+      if touches <> listed.(j) then
+        Alcotest.failf "shard %d [%d,%d): sample %d %s" s lo hi j
+          (if touches then "has a row in the band but is not listed"
+           else "is listed without a row in the band")
     done
-  done;
-  if !total <> m * points then
-    Alcotest.failf "partition holds %d entries, plan has %d" !total
-      (m * points);
-  Array.iteri
-    (fun j c ->
-      if c <> points then
-        Alcotest.failf "sample %d owned %d times, expected %d" j c points)
-    per_sample
+  done
 
 let prop_partition_covers =
   QCheck.Test.make
@@ -233,6 +231,28 @@ let test_partition_cached () =
     Alcotest.failf "re-requesting with a new shard count must rebuild";
   if not (Sample_plan.partition sp ~shards:5 == p5) then
     Alcotest.failf "rebuilt partition must be cached in turn"
+
+(* The band cuts balance entries per row, counted per window row; they
+   are pinned to the values the per-entry count gave on these cases. *)
+let test_partition_cuts () =
+  List.iter
+    (fun (dims, shards, expected) ->
+      let _, _, sp = compiled_case ~dims in
+      let part = Sample_plan.partition sp ~shards in
+      let cuts =
+        List.init (Sample_plan.partition_shards part) (fun s ->
+            Sample_plan.shard_rows part s)
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%dd cuts, %d shards" dims shards)
+        expected cuts)
+    [ (2, 3, [ (0, 11); (11, 22); (22, 32) ]);
+      (2, 7, [ (0, 5); (5, 9); (9, 14); (14, 19); (19, 23); (23, 28); (28, 32) ]);
+      (3, 4, [ (0, 39); (39, 74); (74, 108); (108, 144) ]);
+      ( 3,
+        7,
+        [ (0, 23); (23, 44); (44, 63); (63, 84); (84, 102); (102, 123);
+          (123, 144) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism stress: N concurrent compiled-replay reconstructions
@@ -338,7 +358,9 @@ let () =
       ("operator", bit2 [ ("serial backend on a pool", test_backend_bitwise) ]);
       ( "partition",
         Qutil.to_alcotests [ prop_partition_covers ]
-        @ bit2 [ ("partition cache", test_partition_cached) ] );
+        @ bit2
+            [ ("partition cache", test_partition_cached);
+              ("band cuts", test_partition_cuts) ] );
       ( "stress",
         bit2
           [ ("shared-plan determinism", test_determinism_stress);

@@ -76,7 +76,9 @@ let test_empty_streams () =
             let nm = Simd.impl_name impl in
             let out = Cvec.create 4 in
             Simd.spread (Cvec.create 0) [||] [||] 2 out;
-            Simd.spread_shard (Cvec.create 0) [||] [||] [||] out;
+            (* a one-sample plan (w = 2) and a shard that lists none *)
+            Simd.spread_band (Cvec.of_complex_array [| C.one |]) [| 0; 1; 0; 2 |]
+              [| 1.0; 1.0; 1.0; 1.0 |] 2 [||] 0 4 out;
             Simd.deapod_row out 0 out 0 [||] 0 0 1.0 1.0;
             check_cvec_ulp (nm ^ " empty spread/shard/deapod")
               (Cvec.create 4) out;
@@ -341,34 +343,51 @@ let test_gather_uninit_output () =
         [ 0; 1; 7; 300 ])
 
 (* ------------------------------------------------------------------ *)
-(* Region-sharded replay: the shard kernel streams entries strictly one
-   at a time, so every pool size must stay within the ULP budget of the
-   serial OCaml spread (in practice: bitwise). *)
+(* Region-sharded replay: each shard replays its sample list through the
+   serial spread body and skips the window rows outside its band, so
+   every pool size must reproduce the serial OCaml spread bit for bit —
+   in 2D and 3D, at every specialised width, under every dispatch state,
+   with seam samples whose windows wrap from row g-1 to row 0 across the
+   first and last bands. *)
 
 let pool_sizes = [ 1; 2; 3; 4; 7 ]
 
 let test_shard_replay () =
-  let plan = Plan.make ~n:16 () in
-  let s = Sample.random ~seed:77 ~dims:2 ~g:32 300 in
-  let sp = Plan.compiled plan s in
-  let reference = Sample_plan.spread sp s.Sample.values in
+  let cases =
+    List.concat_map
+      (fun dims ->
+        List.init 15 (fun i ->
+            let w = i + 2 in
+            let n = if dims = 2 then 12 else 9 in
+            let plan = Plan.make ~w ~n () in
+            let s =
+              Qutil.seam_samples ~seed:(w + (10 * dims)) ~dims
+                ~g:plan.Plan.g 60
+            in
+            let sp = Plan.compiled plan s in
+            (dims, w, sp, s.Sample.values, Sample_plan.spread sp s.Sample.values)))
+      [ 2; 3 ]
+  in
   List.iter
-    (fun impl ->
-      Simd.with_impl impl (fun () ->
+    (fun d ->
+      let pool = Pool.create ~domains:d () in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown pool)
+        (fun () ->
           List.iter
-            (fun d ->
-              let pool = Pool.create ~domains:d () in
-              Fun.protect
-                ~finally:(fun () -> Pool.shutdown pool)
-                (fun () ->
-                  check_cvec_ulp
-                    (Printf.sprintf "shard replay %s pool=%d"
-                       (Simd.impl_name impl) d)
-                    reference
-                    (Sample_plan.spread_parallel ~pool ~simd:true sp
-                       s.Sample.values)))
-            pool_sizes))
-    impls
+            (fun impl ->
+              Simd.with_impl impl (fun () ->
+                  List.iter
+                    (fun (dims, w, sp, values, reference) ->
+                      check_bits
+                        (Printf.sprintf "shard replay %s pool=%d dims=%d w=%d"
+                           (Simd.impl_name impl) d dims w)
+                        reference
+                        (Sample_plan.spread_parallel ~pool ~simd:true sp
+                           values))
+                    cases))
+            (List.sort_uniq compare [ Simd.Off; Simd.Scalar; Simd.available ])))
+    pool_sizes
 
 (* ------------------------------------------------------------------ *)
 (* Batched butterfly lines: random power-of-two lengths 1 to 4096, so
