@@ -2,11 +2,12 @@
 
    Measures, on a fixed seeded workload: gridding throughput (samples/sec)
    and allocation (minor words/sample) for each CPU engine plus the
-   compiled-plan replay path, and the wall time of a compiled-plan CG
-   reconstruction. With [json := true] the numbers are written to
-   BENCH_hotpath.json, one engine per line, so check_hotpath.exe (and the
-   CI perf smoke job) can diff them against the checked-in baseline with a
-   tolerance. *)
+   compiled-plan replay path, and the wall time of a CG reconstruction
+   (right-hand side through the compiled plan, iterations through the
+   operator's Toeplitz normal map). With [json := true] the numbers are
+   written to BENCH_hotpath.json, one engine per line, so
+   check_hotpath.exe (and the CI perf smoke job) can diff them against
+   the checked-in baseline with a tolerance. *)
 
 module Cvec = Numerics.Cvec
 module Sample = Nufft.Sample
@@ -471,7 +472,7 @@ let run () =
     k.k_g k.k_m k.gather_scalar_ns k.gather_simd_ns k.gather_impl k.fft_us
     k.fft_impl;
   let ((_, _, cg_iters, cg_wall) as cg) = cg_case ~quick in
-  Printf.printf "  CG (compiled plan, %d iterations): %.3f s\n" cg_iters
+  Printf.printf "  CG (Toeplitz normal map, %d iterations): %.3f s\n" cg_iters
     cg_wall;
   if !json then
     write_json ~quick ~g ~m ~tile ~disabled_pct ~replay:replay_info

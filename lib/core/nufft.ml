@@ -17,5 +17,6 @@ module Nudft = Nudft
 module Transform = Transform
 module Sample_plan = Sample_plan
 module Plan = Plan
+module Toeplitz = Toeplitz
 module Operator = Operator
 include Plan

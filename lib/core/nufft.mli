@@ -21,6 +21,7 @@ module Nudft = Nudft
 module Transform = Transform
 module Sample_plan = Sample_plan
 module Plan = Plan
+module Toeplitz = Toeplitz
 module Operator = Operator
 
 include module type of struct

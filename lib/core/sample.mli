@@ -99,10 +99,23 @@ val random_3d : ?seed:int -> g:int -> int -> t
 val with_values : t -> Numerics.Cvec.t -> t
 (** Same coordinates, new value vector (length-checked). *)
 
-val rescale : g:int -> t -> t
-(** [rescale ~g s] — the same sampling pattern re-expressed on a [g]-point
-    grid (coordinates scaled by [g / s.g]); used by the Toeplitz embedding
-    to move a trajectory onto the doubled grid. *)
+val all_finite : float array -> bool
+(** [true] when no element is NaN or infinite: the wire and service
+    check of coordinate axes and density weights. *)
+
+val weight_into :
+  float array -> Numerics.Cvec.t -> Numerics.Cvec.t -> unit
+(** [weight_into w values out] writes [w.(j) * values.(j)] to [out.(j)],
+    as the two products [w*re] and [w*im] (the arithmetic of
+    {!Numerics.Complexd.scale}, without a complex record per sample).
+    All three lengths must agree; raises [Invalid_argument] otherwise. *)
+
+val weighted : ?weights:float array -> t -> t
+(** [weighted ~weights s] — the same coordinates carrying the
+    density-weighted values ({!weight_into} into a fresh vector); [s]
+    itself without [weights]. The one weighting step of the normal
+    equations' right-hand side [A^H W y] and of the gridding composition
+    [A^H W A x]. *)
 
 val validate : t -> unit
 (** Check all coordinates lie in [0, g); raises [Invalid_argument]. *)

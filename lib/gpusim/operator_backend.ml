@@ -109,6 +109,7 @@ let make flavour op_name (c : Op.ctx) : Op.op =
        (adjoint) and type-2 (forward). No type-3 leg. *)
     let transforms = [ Nufft.Transform.Type1; Nufft.Transform.Type2 ]
     let type3 = None
+    let normal = None
 
     (* f32-LUT numerics: a CPU double plan must never stand in for this
        backend's own transforms. *)

@@ -30,10 +30,7 @@ let apply_density ?density samples =
       if Array.length w <> m then
         Error (Density_length_mismatch { expected = m; got = Array.length w })
       else
-        Ok
-          (Sample.with_values samples
-             (Cvec.init m (fun j ->
-                  C.scale w.(j) (Cvec.get samples.Sample.values j))))
+        Ok (Sample.weighted ~weights:w samples)
 
 (* Backends validate their inputs with [Invalid_argument] (grid mismatch,
    unsupported dimensionality, ...); the reconstruction driver is the seam

@@ -107,6 +107,7 @@ let make_2d (c : Op.ctx) : Op.op =
        (adjoint) and type-2 (forward). No type-3 leg. *)
     let transforms = [ Nufft.Transform.Type1; Nufft.Transform.Type2 ]
     let type3 = None
+    let normal = None
 
     (* Fixed-point numerics: a CPU plan must never stand in for this
        backend's own transforms. *)
@@ -164,6 +165,7 @@ let make_3d (c : Op.ctx) : Op.op =
        (adjoint) and type-2 (forward). No type-3 leg. *)
     let transforms = [ Nufft.Transform.Type1; Nufft.Transform.Type2 ]
     let type3 = None
+    let normal = None
 
     (* Fixed-point numerics: a CPU plan must never stand in for this
        backend's own transforms. *)

@@ -64,7 +64,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable total_bytes : int;
 }
 
 (* djb2-xor over the raw bits of every coordinate (plus the grid size):
@@ -98,8 +97,21 @@ let create ?(max_entries = 32) ?(max_bytes = 256 * 1024 * 1024)
     tick = 0;
     hits = 0;
     misses = 0;
-    evictions = 0;
-    total_bytes = 0 }
+    evictions = 0 }
+
+(* An entry's bytes: what it held when built, plus the Toeplitz spectrum
+   its operator builds on the first normal-map application (read at each
+   budget check, so a spectrum built after insertion still counts). *)
+let entry_bytes e =
+  match e.state with
+  | Building -> e.bytes
+  | Ready op -> (
+      match Op.normal_of op with
+      | Some tp -> e.bytes + Nufft.Toeplitz.bytes tp
+      | None -> e.bytes)
+
+let total_bytes t =
+  List.fold_left (fun acc e -> acc + entry_bytes e) 0 t.entries
 
 let stats t =
   Mutex.lock t.mutex;
@@ -108,7 +120,7 @@ let stats t =
       misses = t.misses;
       evictions = t.evictions;
       entries = List.length t.entries;
-      bytes = t.total_bytes }
+      bytes = total_bytes t }
   in
   Mutex.unlock t.mutex;
   s
@@ -205,7 +217,8 @@ let coord_bytes (s : Sample.t) =
    [sample_plan.cache_miss] exactly once per cache entry, and every
    subsequent application through the canonical coordinates replays it.
    The entry's bytes also count the grid each plan retains between
-   transforms ({!Plan.grid_bytes}). *)
+   transforms ({!Plan.grid_bytes}); the Toeplitz spectrum, built later
+   if at all, is added by [entry_bytes]. *)
 let build ~backend (ctx : Op.ctx) =
   let op = Op.create backend ctx in
   let plan_bytes =
@@ -228,7 +241,7 @@ let build ~backend (ctx : Op.ctx) =
 let evict_over_budget t =
   let removable e = match e.state with Ready _ -> true | Building -> false in
   let over () =
-    List.length t.entries > t.max_entries || t.total_bytes > t.max_bytes
+    List.length t.entries > t.max_entries || total_bytes t > t.max_bytes
   in
   while over () && List.exists removable t.entries do
     let victim =
@@ -244,7 +257,6 @@ let evict_over_budget t =
     match victim with
     | Some v ->
         t.entries <- List.filter (fun e -> e != v) t.entries;
-        t.total_bytes <- t.total_bytes - v.bytes;
         t.evictions <- t.evictions + 1;
         Telemetry.Counter.incr c_eviction
     | None -> ()
@@ -304,7 +316,6 @@ and operator_slow t ~backend ~(ctx : Op.ctx) =
             Mutex.lock t.mutex;
             e.state <- Ready op;
             e.bytes <- bytes;
-            t.total_bytes <- t.total_bytes + bytes;
             evict_over_budget t;
             Condition.broadcast t.cond;
             Mutex.unlock t.mutex;
@@ -317,5 +328,3 @@ and operator_slow t ~backend ~(ctx : Op.ctx) =
             raise exn)
   in
   obtain ()
-
-let create_fn t backend ctx = fst (operator t ~backend ~ctx)

@@ -30,8 +30,10 @@
     the single build completes (asserted in the tests via the
     [sample_plan.cache_miss] counter). Eviction is LRU over completed
     entries, triggered when either the entry count or the byte budget
-    (estimated decomposition + coordinate footprint) is exceeded;
-    in-flight entries are never evicted.
+    (estimated decomposition + coordinate footprint, plus the operator's
+    Toeplitz spectrum and pad buffer once a normal-map application has
+    built them — {!Nufft.Toeplitz.bytes}, read at every budget check) is
+    exceeded; in-flight entries are never evicted.
 
     Telemetry: [cache.hit] / [cache.miss] / [cache.eviction] counters,
     mirrored by the per-instance {!stats}. *)
@@ -43,7 +45,9 @@ type stats = {
   misses : int;  (** lookups that performed a build *)
   evictions : int;
   entries : int;  (** current resident entries (including in-flight) *)
-  bytes : int;  (** estimated resident footprint *)
+  bytes : int;
+      (** estimated resident footprint, including the Toeplitz spectra
+          built so far *)
 }
 
 val create :
@@ -74,10 +78,5 @@ val operator :
     policy per cache (the reconstruction service always builds cached
     operators pool-less, because their applications run inside the
     service's own [parallel_for]). *)
-
-val create_fn : t -> string -> Nufft.Operator.ctx -> Nufft.Operator.op
-(** {!operator} curried to the shape of {!Nufft.Operator.create} — drop-in
-    for hooks like [Toeplitz.make_op ~create] so setup adjoints route
-    through the cache. *)
 
 val stats : t -> stats

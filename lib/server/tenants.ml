@@ -89,13 +89,6 @@ let cache_stats t =
 (* ------------------------------------------------------------------ *)
 (* Wire request -> service request *)
 
-let all_finite (a : float array) =
-  let i = ref 0 in
-  while !i < Array.length a && Float.is_finite (Array.unsafe_get a !i) do
-    incr i
-  done;
-  !i = Array.length a
-
 let to_service_request t (r : Protocol.recon_request) =
   let m = Array.length r.values / 2 in
   if r.n < 2 || r.n > 4096 then
@@ -110,8 +103,11 @@ let to_service_request t (r : Protocol.recon_request) =
           r.dims )
   else if Array.exists (fun ax -> Array.length ax <> m) r.omega then
     Error (Protocol.Bad_request, "omega axis length differs from sample count")
-  else if not (Array.for_all all_finite r.omega) then
+  else if not (Array.for_all Nufft.Sample.all_finite r.omega) then
     Error (Protocol.Bad_request, "non-finite omega coordinate")
+  else if not (Option.fold ~none:true ~some:Nufft.Sample.all_finite r.density)
+  then
+    Error (Protocol.Bad_request, "non-finite density weight")
   else if r.transform = Nufft.Transform.Type2 then
     (* A JGS1 recon frame carries one value per sample; a forward (type-2)
        evaluation consumes an n^dims image payload the frame format does

@@ -38,6 +38,7 @@ val handle :
   (Protocol.recon_response, Protocol.status * string) result
 (** Execute one wire reconstruction request on its tenant's service:
     validates wire-level invariants (dims/axis lengths, finite
-    coordinates, CG iteration cap), converts omega radians to grid-unit
-    coordinates at [g = round (sigma * n)], submits synchronously, and
-    maps service errors to wire statuses. Never raises. *)
+    coordinates and density weights, CG iteration cap), converts omega
+    radians to grid-unit coordinates at [g = round (sigma * n)], submits
+    synchronously, and maps service errors to wire statuses. Never
+    raises. *)

@@ -230,9 +230,11 @@ let test_alloc_operator_pair () =
         (Atomic.get plan.Plan.slot == held))
     [ (16, 300); (32, 4000) ]
 
-(* Density weighting in the CG normal map: the same w*re, w*im products
-   as [Complexd.scale], bit for bit, without a complex record per
-   sample. *)
+(* Density weighting in the normal equations: the right-hand side's
+   weighted samples are the same w*re, w*im products as
+   [Complexd.scale], bit for bit, without a complex record per sample.
+   The weighted normal map itself runs through the operator's Toeplitz
+   embedding and must stay O(1) words per warm call. *)
 let test_weighted_normal_map () =
   let n = 16 and m = 10000 in
   let g = 2 * n in
@@ -249,9 +251,9 @@ let test_weighted_normal_map () =
     Cvec.init m (fun j ->
         Numerics.Complexd.scale weights.(j) (Cvec.get s.Sample.values j))
   in
-  check_bitwise "weighted normal map = C.scale formula"
+  check_bitwise "weighted rhs = C.scale formula"
     (Op.apply_adjoint op (Sample.with_values s scaled))
-    (Imaging.Cg.normal_map ~weights op x);
+    (Imaging.Cg.normal_equations_rhs_op ~weights op s);
   let words = least_of 3 words_of (fun () -> Imaging.Cg.normal_map ~weights op x) in
   Alcotest.(check bool)
     (Printf.sprintf "weighted normal map minor words (%g) <= %g" words
@@ -295,9 +297,12 @@ let test_cg_decomposition_once () =
   let data = Op.apply_forward op image in
   let iterations = 6 in
   let b = Imaging.Cg.normal_equations_rhs_op op data in
+  (* The explicit gridding composition, whose decomposition cost this
+     test measures ([Cg.normal_map] runs the Toeplitz embedding). *)
+  let gridding x = Op.apply_adjoint op (Op.apply_forward op x) in
   let result =
-    Imaging.Cg.solve ~max_iterations:iterations ~tolerance:0.0
-      ~apply:(Imaging.Cg.normal_map op) b
+    Imaging.Cg.solve ~max_iterations:iterations ~tolerance:0.0 ~apply:gridding
+      b
   in
   ignore result.Imaging.Cg.solution;
   let st = Op.stats_of op in

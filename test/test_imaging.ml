@@ -137,28 +137,34 @@ let test_undersampling_degrades () =
 (* ------------------------------------------------------------------ *)
 (* Toeplitz normal operator and CG iterative reconstruction *)
 
+(* A fixed random 2D trajectory bound to a default plan, with
+   nonnegative density weights. *)
 let small_problem () =
   let n = 16 and m = 300 in
   let rng = Random.State.make [| 101 |] in
   let omega () = Array.init m (fun _ ->
       Random.State.float rng (2.0 *. Float.pi) -. Float.pi) in
-  (n, omega (), omega ())
+  let plan = Nufft.Plan.make ~n () in
+  let coords =
+    Nufft.Sample.of_omega_2d ~g:plan.Nufft.Plan.g ~omega_x:(omega ())
+      ~omega_y:(omega ()) ~values:(Cvec.create m)
+  in
+  let weights = Array.init m (fun _ -> Random.State.float rng 2.0) in
+  (n, plan, coords, weights)
+
+let random_image rng n =
+  let r () = Random.State.float rng 2.0 -. 1.0 in
+  Cvec.init (n * n) (fun _ ->
+      let im = r () in
+      C.make (r ()) im)
 
 let test_toeplitz_matches_normal_operator () =
-  let n, omega_x, omega_y = small_problem () in
-  let plan = Nufft.Plan.make ~n () in
-  let g = plan.Nufft.Plan.g in
-  let gx = Array.map (Nufft.Sample.omega_to_grid ~g) omega_x in
-  let gy = Array.map (Nufft.Sample.omega_to_grid ~g) omega_y in
-  let t = Imaging.Toeplitz.make ~n ~omega_x ~omega_y () in
+  let n, plan, coords, _ = small_problem () in
+  let op = Nufft.Operator.of_plan plan ~coords in
   let rng = Random.State.make [| 7 |] in
-  let x = Cvec.init (n * n) (fun _ ->
-      C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
-  let via_toeplitz = Imaging.Toeplitz.apply t x in
-  (* Explicit A^H (A x) with the NuFFT pair. *)
-  let coords =
-    Nufft.Sample.make_2d ~g ~gx ~gy ~values:(Cvec.create (Array.length gx))
-  in
+  let x = random_image rng n in
+  let via_toeplitz = Nufft.Operator.normal op x in
+  (* Explicit A^H (A x) with the plan's gridding pair. *)
   let ax = Nufft.Plan.forward plan ~coords x in
   let s = Nufft.Sample.with_values coords ax in
   let via_pair = Nufft.Plan.adjoint plan s in
@@ -167,28 +173,31 @@ let test_toeplitz_matches_normal_operator () =
     true (err < 5e-3)
 
 let test_toeplitz_hermitian () =
-  let n, omega_x, omega_y = small_problem () in
-  let t = Imaging.Toeplitz.make ~n ~omega_x ~omega_y () in
+  let n, plan, coords, weights = small_problem () in
+  let op = Nufft.Operator.of_plan plan ~coords in
   let rng = Random.State.make [| 8 |] in
-  let vec () = Cvec.init (n * n) (fun _ ->
-      C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
-  let x = vec () and y = vec () in
-  let lhs = Cvec.dot (Imaging.Toeplitz.apply t x) y in
-  let rhs = Cvec.dot x (Imaging.Toeplitz.apply t y) in
-  let scale = C.norm lhs +. C.norm rhs +. 1.0 in
-  check_close ~eps:(1e-8 *. scale) "re" lhs.C.re rhs.C.re;
-  check_close ~eps:(1e-8 *. scale) "im" lhs.C.im rhs.C.im
+  let x = random_image rng n and y = random_image rng n in
+  List.iter
+    (fun weights ->
+      let lhs = Cvec.dot (Nufft.Operator.normal ?weights op x) y in
+      let rhs = Cvec.dot x (Nufft.Operator.normal ?weights op y) in
+      let scale = C.norm lhs +. C.norm rhs +. 1.0 in
+      check_close ~eps:(1e-8 *. scale) "re" lhs.C.re rhs.C.re;
+      check_close ~eps:(1e-8 *. scale) "im" lhs.C.im rhs.C.im)
+    [ None; Some weights ]
 
 let test_toeplitz_psd () =
-  let n, omega_x, omega_y = small_problem () in
-  let t = Imaging.Toeplitz.make ~n ~omega_x ~omega_y () in
+  let n, plan, coords, weights = small_problem () in
+  let op = Nufft.Operator.of_plan plan ~coords in
   let rng = Random.State.make [| 9 |] in
   for _ = 1 to 5 do
-    let x = Cvec.init (n * n) (fun _ ->
-        C.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)) in
-    let q = (Cvec.dot x (Imaging.Toeplitz.apply t x)).C.re in
-    Alcotest.(check bool) (Printf.sprintf "<x,Tx> = %g >= 0" q) true
-      (q >= -1e-6)
+    let x = random_image rng n in
+    List.iter
+      (fun weights ->
+        let q = (Cvec.dot x (Nufft.Operator.normal ?weights op x)).C.re in
+        Alcotest.(check bool) (Printf.sprintf "<x,Tx> = %g >= 0" q) true
+          (q >= -1e-6))
+      [ None; Some weights ]
   done
 
 let test_cg_diagonal () =
@@ -209,11 +218,11 @@ let test_cg_residual_decreases () =
      realistic iterative-recon system, and well-conditioned enough that
      the residual 2-norm falls decisively (plain CG residuals need not be
      monotone on ill-conditioned operators). *)
-  let n, omega_x, omega_y = small_problem () in
-  let t = Imaging.Toeplitz.make ~n ~omega_x ~omega_y () in
+  let n, plan, coords, _ = small_problem () in
+  let op = Nufft.Operator.of_plan plan ~coords in
   let lambda = 50.0 in
   let apply x =
-    let tx = Imaging.Toeplitz.apply t x in
+    let tx = Nufft.Operator.normal op x in
     Cvec.iteri
       (fun k c -> Cvec.set tx k (C.add (Cvec.get tx k) (C.scale lambda c)))
       x;
@@ -242,15 +251,10 @@ let test_iterative_beats_direct () =
   let density = Trajectory.Radial.density_weights traj in
   let direct = rok (Imaging.Recon.reconstruct ~density plan samples) in
   let direct_err = Metrics.nrmsd_scaled ~reference:img direct in
-  let t = Imaging.Toeplitz.make ~n ~omega_x:traj.Trajectory.Traj.omega_x
-      ~omega_y:traj.Trajectory.Traj.omega_y () in
-  let b =
-    Imaging.Cg.normal_equations_rhs_op
-      (Nufft.Operator.of_plan plan ~coords:samples)
-      samples
-  in
+  let op = Nufft.Operator.of_plan plan ~coords:samples in
+  let b = Imaging.Cg.normal_equations_rhs_op op samples in
   let r = Imaging.Cg.solve ~max_iterations:15 ~tolerance:1e-8
-      ~apply:(Imaging.Toeplitz.apply t) b in
+      ~apply:(Imaging.Cg.normal_map op) b in
   let cg_err = Metrics.nrmsd_scaled ~reference:img r.Imaging.Cg.solution in
   Alcotest.(check bool)
     (Printf.sprintf "cg %.4f < direct %.4f" cg_err direct_err)

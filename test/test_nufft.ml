@@ -523,6 +523,26 @@ let test_omega_to_grid_bitwise () =
         (edges @ random))
     [ 1; 2; 3; 64; 65; 128; 255; 640 ]
 
+(* Every length 0..9 and every position of one NaN, +inf or -inf, among
+   finite values of both signs. *)
+let test_all_finite () =
+  for n = 0 to 9 do
+    let base = Array.init n (fun i -> if i mod 2 = 0 then 1.5e300 else -3.0) in
+    Alcotest.(check bool) (Printf.sprintf "finite, n=%d" n) true
+      (Nufft.Sample.all_finite base);
+    List.iter
+      (fun bad ->
+        for k = 0 to n - 1 do
+          let a = Array.copy base in
+          a.(k) <- bad;
+          Alcotest.(check bool)
+            (Printf.sprintf "%g at %d of %d" bad k n)
+            (Array.for_all Float.is_finite a)
+            (Nufft.Sample.all_finite a)
+        done)
+      [ Float.nan; Float.infinity; Float.neg_infinity ]
+  done
+
 let test_sample_validation () =
   let values = Cvec.create 2 in
   Alcotest.check_raises "out of range"
@@ -1409,7 +1429,9 @@ let () =
        [ Alcotest.test_case "omega mapping" `Quick test_omega_to_grid;
          Alcotest.test_case "omega mapping = Float.rem formula bitwise" `Quick
            test_omega_to_grid_bitwise;
-         Alcotest.test_case "validation" `Quick test_sample_validation ]);
+         Alcotest.test_case "validation" `Quick test_sample_validation;
+         Alcotest.test_case "all_finite = for_all is_finite" `Quick
+           test_all_finite ]);
       ("nudft",
        [ Alcotest.test_case "adjoint dc" `Quick test_nudft_adjoint_1d_dc;
          Alcotest.test_case "adjointness 2d" `Quick test_nudft_adjointness_2d ]);
